@@ -1,11 +1,12 @@
 """Cache configuration: the validated knob bundle the runner threads.
 
 :func:`make_cache_config` is the fail-fast front door used by
-:class:`~repro.evaluation.runner.ExperimentRunner` (and therefore
-``run_policy`` and the CLI): dependent flags passed without the tier
-that gives them meaning raise immediately, naming both the flag and
-the enabling flag — mirroring the runner's autoscaler/speculation
-validation style — instead of being silently ignored.
+:class:`~repro.evaluation.runner.RunSpec` (and therefore
+``ExperimentRunner``, ``run_policy`` and the CLI): dependent flags
+passed without the tier that gives them meaning raise immediately,
+naming both the flag and the enabling flag — mirroring the spec's
+autoscaler/speculation validation style — instead of being silently
+ignored.
 
 ``make_cache_config(...) is None`` exactly when every cache is off,
 which is the disabled path the byte-identity guarantee rides on: a

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+from dataclasses import fields
 
 from repro.baselines import FixedConfigPolicy, ParrotPolicy
 from repro.caching import EVICTION_NAMES, RESULT_CACHE_MODES
@@ -142,54 +143,36 @@ def build_policy(name: str, bundle, config_label: str | None, seed: int,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.evaluation.runner import RunSpec
     from repro.experiments.common import run_policy
 
     bundle = build_dataset(args.dataset, seed=args.seed,
                            n_queries=args.queries)
     policy = build_policy(args.policy, bundle, args.config, args.seed,
                           quality_slo=args.quality_slo)
-    speeds = (parse_replica_speeds(args.replica_speeds)
-              if args.replica_speeds else None)
+    # Every RunSpec knob is a flag whose dest is the field name.
+    knobs = {f.name: getattr(args, f.name) for f in fields(RunSpec)
+             if hasattr(args, f.name)}
+    speeds = knobs["replica_speeds"] = (
+        parse_replica_speeds(args.replica_speeds)
+        if args.replica_speeds else None)
     shard_concurrency = None
     if args.shard_concurrency is not None:
         parsed = parse_shard_concurrency(args.shard_concurrency)
         # A single value broadcasts to every shard; a list must match.
         shard_concurrency = parsed[0] if len(parsed) == 1 else parsed
+    knobs["shard_concurrency"] = shard_concurrency
     result = run_policy(
         bundle, policy,
         rate_qps=args.rate, seed=args.seed,
         sequential=args.sequential,
-        n_replicas=args.replicas, router=args.router,
-        profiler_concurrency=args.profiler_concurrency,
-        retrieval_concurrency=args.retrieval_concurrency,
         closed_loop_clients=args.closed_loop_clients,
-        replica_speeds=speeds,
-        retrieval_shards=args.retrieval_shards,
-        shard_concurrency=shard_concurrency,
-        reranker=args.reranker,
-        index=args.index,
-        slo_seconds=args.slo_seconds,
-        speculation=args.speculation,
-        hedge_delay=args.hedge_delay,
-        workload=args.workload,
-        autoscaler=args.autoscaler,
-        scale_min=args.scale_min,
-        scale_max=args.scale_max,
-        autoscale_interval=args.autoscale_interval,
-        provision_delay=args.provision_delay,
-        result_cache=args.result_cache,
-        retrieval_cache=args.retrieval_cache,
-        cache_capacity=args.cache_capacity,
-        cache_eviction=args.cache_eviction,
-        semantic_threshold=args.semantic_threshold,
-        cache_ttl=args.cache_ttl,
-        quality_metrics=args.quality_metrics,
-        quality_slo=args.quality_slo,
+        **knobs,
     )
     rows = [dict(metric=k, value=v) for k, v in result.summary().items()]
     title = f"{policy.name} on {args.dataset}"
-    if args.replicas > 1:
-        title += f" ({args.replicas} replicas, {args.router} router)"
+    if args.n_replicas > 1:
+        title += f" ({args.n_replicas} replicas, {args.router} router)"
     if speeds is not None:
         title += f" [speeds {','.join(f'{s:g}' for s in speeds)}]"
     if args.retrieval_shards > 1:
@@ -230,7 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cache_on:
         print()
         print(format_table(cache_rows(result), title="Cache tiers"))
-    if args.replicas > 1 or args.autoscaler != "none":
+    if args.n_replicas > 1 or args.autoscaler != "none":
         print()
         print(format_table(per_replica_rows(result),
                            title="Per-replica serving stats"))
@@ -324,7 +307,8 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--index", choices=INDEX_NAMES, default="flat",
                      help="per-shard vector index: flat (exact L2) or "
                           "ivf (inverted-file approximation)")
-    run.add_argument("--replicas", type=int, default=1,
+    run.add_argument("--replicas", dest="n_replicas", metavar="REPLICAS",
+                     type=int, default=1,
                      help="number of serving-engine replicas (default 1)")
     run.add_argument("--router", choices=ROUTER_NAMES,
                      default="least-kv-load",

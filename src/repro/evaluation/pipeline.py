@@ -104,7 +104,7 @@ from repro.sim import Event, EventLoop, Lease, Resource, ResourceStats
 from repro.synthesis import make_synthesizer
 from repro.synthesis.plans import SynthesisPlan
 from repro.util.ids import canonical_query_id
-from repro.util.validation import check_positive, check_shard_concurrency
+from repro.util.validation import check_positive, resolve_shard_concurrency
 
 __all__ = [
     "CACHE_RESOURCE",
@@ -814,19 +814,8 @@ class QueryPipeline:
         self.profiler = Resource(PROFILER_RESOURCE, self.loop,
                                  profiler_concurrency, coalesce=True)
         n_shards = self.store.n_shards
-        if retrieval_concurrency is not None and n_shards > 1:
-            raise ValueError(
-                "retrieval_concurrency bounds the single executor pool "
-                f"of an unsharded store; this store has {n_shards} "
-                "shards — pass shard_concurrency instead"
-            )
-        per_shard = check_shard_concurrency(
-            "shard_concurrency", shard_concurrency, n_shards)
-        if per_shard is None:
-            # Legacy surface: ``retrieval_concurrency`` bounds the sole
-            # shard of an unsharded store.
-            per_shard = ([retrieval_concurrency] if n_shards == 1
-                         else [None] * n_shards)
+        per_shard = resolve_shard_concurrency(
+            retrieval_concurrency, shard_concurrency, n_shards)
         self.shard_resources = [
             Resource(shard_resource_name(sid, n_shards), self.loop,
                      per_shard[sid])

@@ -20,10 +20,12 @@ byte-identical to the pre-``repro.sim`` closure-based runner; finite
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Sequence
 
 import numpy as np
 
-from repro.caching import CacheStats, make_cache_config
+from repro.caching import CacheConfig, CacheStats, make_cache_config
 from repro.core.policy import RAGPolicy
 from repro.data.types import DatasetBundle
 from repro.data.workload import Arrival
@@ -40,20 +42,21 @@ from repro.sim import ResourceStats
 from repro.util.validation import (
     check_count,
     check_positive,
-    check_shard_concurrency,
-    check_shard_count,
+    check_positive_int,
+    resolve_shard_concurrency,
 )
 from repro.workload import (
     Autoscaler,
     ForecastPolicy,
     ScalingEvent,
+    ScalingPolicy,
     Workload,
     make_scaling_policy,
 )
 
 #: ``QueryRecord`` is defined next to the pipeline that emits it and
 #: re-exported here, its historical import location.
-__all__ = ["QueryRecord", "RunResult", "ExperimentRunner"]
+__all__ = ["QueryRecord", "RunResult", "RunSpec", "ExperimentRunner"]
 
 
 @dataclass
@@ -315,111 +318,109 @@ class RunResult:
         }
 
 
-class ExperimentRunner:
-    """Runs one policy over one dataset workload on a fresh engine.
+@dataclass(frozen=True)
+class RunSpec:
+    """Every knob of one run, validated once at construction.
 
-    With ``n_replicas > 1`` the workload is served by a
-    :class:`~repro.serving.cluster.ClusterEngine` — N engine replicas
-    behind the named load-aware ``router`` — and each policy decision
-    sees a :class:`ClusterSchedulingView` of the replica its query was
-    routed to.
-
-    ``profiler_concurrency`` / ``retrieval_concurrency`` bound how many
-    profiler calls / vector-store searches may be in flight at once
-    (``None`` = unbounded, the pre-contention behavior); excess queries
-    wait in FIFO order and the waits surface in
-    :attr:`RunResult.resource_stats` and the per-query
-    ``profiler_queue_delay`` / ``retrieval_queue_delay`` fields.
-
-    ``retrieval_shards`` partitions the bundle's corpus across K index
-    shards (deterministic hash placement); each shard search contends
-    on its own resource, bounded per shard by ``shard_concurrency`` (a
-    single int broadcast to every shard, or one entry per shard — a
-    length mismatch fails fast with both counts).
-    ``retrieval_concurrency`` keeps its legacy meaning — the sole
-    executor pool of an *unsharded* store — so combining it with
-    ``retrieval_shards > 1`` (or with ``shard_concurrency``) is
-    rejected rather than silently reinterpreted. ``reranker``
-    (``"exact"`` or an instance) re-scores an over-fetched candidate
-    pool at modelled per-candidate cost; ``index`` picks the per-shard
-    index factory (``"flat"`` exact / ``"ivf"`` approximate).
-
-    ``replica_speeds`` makes the fleet heterogeneous: one hardware-
-    throughput multiplier per replica (replicas advance independently
-    on the event loop, so a 0.5× replica simply takes 2× as long per
-    iteration). Its length must equal ``n_replicas``; a mismatch fails
-    fast with both counts — mirroring the mixed open/closed-loop
-    workload validation — rather than silently recycling or truncating
-    speeds.
-
-    ``slo_seconds`` stamps every query with a deadline
-    ``arrival + slo_seconds`` (reported as SLO attainment);
-    ``speculation`` selects a deadline-aware hedging policy
-    (``"none"`` / ``"hedge-after-delay"`` / ``"deadline-risk"``, see
-    :mod:`repro.serving.speculation`) that duplicates at-risk queries
-    onto a second replica and cancels the loser, with ``hedge_delay``
-    setting the ``hedge-after-delay`` timer. The default (``None`` /
-    ``"none"``) leaves the event schedule byte-identical.
+    This is the single home of the run surface: ``ExperimentRunner``,
+    ``run_policy`` and the ``repro run`` CLI all forward their knobs
+    here by name. Fields keep the caller's values, coerced to their
+    canonical type (an integral float count becomes an ``int``, a
+    reranker / autoscaler name its instance, a ``quality_slo`` spec a
+    :class:`QualitySLO`); knobs that resolve against each other are
+    derived properties. Misuse, including a knob that only applies
+    alongside one that is off, fails here with the knob's name rather
+    than being silently ignored. Every default leaves the event
+    schedule byte-identical.
     """
 
-    def __init__(
-        self,
-        bundle: DatasetBundle,
-        engine_config: EngineConfig,
-        seed: int = 0,
-        quality_params: QualityParams | None = None,
-        n_replicas: int = 1,
-        router: str = "least-kv-load",
-        profiler_concurrency: int | None = None,
-        retrieval_concurrency: int | None = None,
-        replica_speeds: list[float] | None = None,
-        retrieval_shards: int = 1,
-        shard_concurrency=None,
-        reranker: str | ExactReranker | None = None,
-        index: str = "flat",
-        slo_seconds: float | None = None,
-        speculation: str | SpeculationPolicy | None = None,
-        hedge_delay: float | None = None,
-        workload: Workload | None = None,
-        autoscaler=None,
-        scale_min: int | None = None,
-        scale_max: int | None = None,
-        autoscale_interval: float | None = None,
-        provision_delay: float | None = None,
-        price_idle_capacity: bool | None = None,
-        result_cache: str | None = None,
-        retrieval_cache: bool = False,
-        cache_capacity: int | None = None,
-        cache_eviction: str | None = None,
-        semantic_threshold: float | None = None,
-        cache_ttl: float | None = None,
-        quality_metrics: bool = False,
-        quality_slo: str | QualitySLO | None = None,
-    ) -> None:
-        check_positive("n_replicas", n_replicas)
-        # Quality SLOs are *measured* attainment, so targeting one
-        # implies scoring: the harness switches on automatically.
-        self.quality_slo = (QualitySLO.parse(quality_slo)
-                            if isinstance(quality_slo, str) else quality_slo)
-        self.quality_metrics = bool(quality_metrics) \
-            or self.quality_slo is not None
-        # Fail fast on misused cache knobs before any engine state is
-        # built; None means every tier is off — the byte-identity path.
-        self.cache_config = make_cache_config(
-            result_cache=result_cache,
-            retrieval_cache=retrieval_cache,
-            cache_capacity=cache_capacity,
-            cache_eviction=cache_eviction,
-            semantic_threshold=semantic_threshold,
-            cache_ttl=cache_ttl,
-        )
-        self.scaling_policy = make_scaling_policy(autoscaler)
-        if self.scaling_policy is None:
+    #: Serving-engine replicas. Above 1 the run is served by a
+    #: :class:`~repro.serving.cluster.ClusterEngine` behind ``router``.
+    n_replicas: int = 1
+    #: Cluster load-balancing policy (``repro.serving.cluster``).
+    router: str = "least-kv-load"
+    #: Max in-flight profiler calls, modelling API rate limits; excess
+    #: queries wait in FIFO order (``None`` = unbounded).
+    profiler_concurrency: int | None = None
+    #: Max in-flight searches on the sole executor pool of an
+    #: *unsharded* store (``None`` = unbounded); with
+    #: ``retrieval_shards > 1`` use ``shard_concurrency``.
+    retrieval_concurrency: int | None = None
+    #: One hardware-throughput multiplier per replica (length must
+    #: equal ``n_replicas``); ``None`` = a homogeneous fleet.
+    replica_speeds: Sequence[float] | None = None
+    #: Index shards the corpus is partitioned across for scatter-gather
+    #: search (deterministic hash placement; ``repro.retrieval.sharded``).
+    retrieval_shards: int = 1
+    #: Per-shard search executors: one int broadcast to every shard, or
+    #: one entry (int, or ``None`` = unbounded) per shard.
+    shard_concurrency: int | list[int | None] | None = None
+    #: Re-scores an over-fetched candidate pool at modelled
+    #: per-candidate cost (``"exact"`` or an instance; ``None`` = off).
+    reranker: str | ExactReranker | None = None
+    #: Per-shard index factory: ``"flat"`` (exact) or ``"ivf"``.
+    index: str = "flat"
+    #: Stamps every query with the deadline ``arrival + slo_seconds``,
+    #: reported as SLO attainment (``None`` = no deadline).
+    slo_seconds: float | None = None
+    #: Deadline-aware hedging (``"none"``, ``"hedge-after-delay"``,
+    #: ``"deadline-risk"`` or an instance): duplicates at-risk queries
+    #: onto a second replica and cancels the loser
+    #: (``repro.serving.speculation``).
+    speculation: str | SpeculationPolicy | None = None
+    #: ``hedge-after-delay`` timer in seconds (default: half the SLO).
+    hedge_delay: float | None = None
+    #: The trace-driven workload the forecast autoscalers plan against.
+    workload: Workload | None = None
+    #: Elastic-capacity policy (``"none"``, ``"reactive"``,
+    #: ``"forecast"``, ``"forecast-ewma"`` or an instance;
+    #: ``repro.workload.autoscaler``); ``None`` keeps the fleet static.
+    autoscaler: str | ScalingPolicy | None = None
+    #: Autoscaler floor on active replicas (default 1).
+    scale_min: int | None = None
+    #: Autoscaler ceiling on provisioned replicas
+    #: (default ``max(4, n_replicas, scale_min)``).
+    scale_max: int | None = None
+    #: Seconds between autoscaler ticks (default 15).
+    autoscale_interval: float | None = None
+    #: Seconds a scale-up takes to come online (default 30).
+    provision_delay: float | None = None
+    #: Bill provisioned-but-idle GPU time (default: on exactly when
+    #: autoscaling, the comparison it exists for).
+    price_idle_capacity: bool | None = None
+    #: Query-result cache mode: ``"off"``/``None``, ``"exact"`` or
+    #: ``"semantic"`` (``repro.caching``, ``docs/CACHING.md``).
+    result_cache: str | None = None
+    #: Memoize top-k chunk ids per (query, shard config).
+    retrieval_cache: bool = False
+    #: Max entries per cache tier (default 256).
+    cache_capacity: int | None = None
+    #: Cache eviction policy: ``lru`` (default), ``lfu`` or ``gdsf``.
+    cache_eviction: str | None = None
+    #: Min cosine similarity for a semantic result hit (default 0.9).
+    semantic_threshold: float | None = None
+    #: Cache entry time-to-live in seconds (default: no expiry).
+    cache_ttl: float | None = None
+    #: Score every record with the multi-metric quality harness
+    #: (``repro.evaluation.metrics``, ``docs/EVALUATION.md``);
+    #: post-serve, so the schedule is untouched.
+    quality_metrics: bool = False
+    #: ``metric>=value`` quality SLO; implies ``quality_metrics``.
+    quality_slo: str | QualitySLO | None = None
+
+    def __post_init__(self) -> None:
+        canonical = partial(object.__setattr__, self)
+        canonical("n_replicas",
+                  check_positive_int("n_replicas", self.n_replicas))
+        if isinstance(self.quality_slo, str):
+            canonical("quality_slo", QualitySLO.parse(self.quality_slo))
+        canonical("autoscaler", make_scaling_policy(self.autoscaler))
+        if self.autoscaler is None:
             misused = {
-                "scale_min": scale_min,
-                "scale_max": scale_max,
-                "autoscale_interval": autoscale_interval,
-                "provision_delay": provision_delay,
+                "scale_min": self.scale_min,
+                "scale_max": self.scale_max,
+                "autoscale_interval": self.autoscale_interval,
+                "provision_delay": self.provision_delay,
             }
             bad = [k for k, v in misused.items() if v is not None]
             if bad:
@@ -428,108 +429,161 @@ class ExperimentRunner:
                     "pass --autoscaler reactive (or forecast), or drop "
                     "the flag"
                 )
-            self.scale_min = self.scale_max = int(n_replicas)
         else:
-            if isinstance(self.scaling_policy, ForecastPolicy) \
-                    and workload is None:
+            if isinstance(self.autoscaler, ForecastPolicy) \
+                    and self.workload is None:
                 raise ValueError(
                     "the forecast autoscaler plans against the declared "
                     "workload trace; pass workload= (--workload) or use "
                     "--autoscaler reactive"
                 )
-            self.scale_min = (1 if scale_min is None
-                              else check_count("scale_min", scale_min, 1))
-            default_max = max(4, int(n_replicas), self.scale_min)
-            self.scale_max = (default_max if scale_max is None
-                              else check_count("scale_max", scale_max, 1))
-            if not self.scale_min <= int(n_replicas) <= self.scale_max:
+            lo, hi = self.scale_range
+            if not lo <= self.n_replicas <= hi:
                 raise ValueError(
                     f"the initial fleet must lie inside the scaling "
-                    f"range: n_replicas={int(n_replicas)} is outside "
-                    f"[scale_min={self.scale_min}, "
-                    f"scale_max={self.scale_max}]"
+                    f"range: n_replicas={self.n_replicas} is outside "
+                    f"[scale_min={lo}, scale_max={hi}]"
                 )
-        self.workload = workload
-        self.autoscale_interval = (15.0 if autoscale_interval is None
-                                   else autoscale_interval)
-        self.provision_delay = (30.0 if provision_delay is None
-                                else provision_delay)
-        #: Idle-capacity pricing defaults on exactly when autoscaling
-        #: is on (the comparison it exists for), but can be forced
-        #: either way — fig_autoscale prices the static arms too.
-        self.price_idle_capacity = (
-            self.scaling_policy is not None
-            if price_idle_capacity is None else bool(price_idle_capacity)
-        )
-        if profiler_concurrency is not None:
-            check_positive("profiler_concurrency", profiler_concurrency)
-        if retrieval_concurrency is not None:
-            check_positive("retrieval_concurrency", retrieval_concurrency)
-        self.retrieval_shards = check_shard_count(
-            "retrieval_shards", retrieval_shards)
-        self.shard_concurrency = check_shard_concurrency(
-            "shard_concurrency", shard_concurrency, self.retrieval_shards)
-        if retrieval_concurrency is not None and self.retrieval_shards > 1:
+        for name in ("profiler_concurrency", "retrieval_concurrency"):
+            if getattr(self, name) is not None:
+                canonical(name, check_positive_int(name, getattr(self, name)))
+        canonical("retrieval_shards", check_count(
+            "retrieval_shards", self.retrieval_shards, minimum=1))
+        if self.slo_seconds is not None:
+            canonical("slo_seconds", float(
+                check_positive("slo_seconds", self.slo_seconds)))
+        if self.hedge_delay is not None:
+            check_positive("hedge_delay", self.hedge_delay)
+        if self.speculation_policy is not None and self.scale_range[1] < 2:
             raise ValueError(
-                "retrieval_concurrency bounds the single executor pool "
-                "of an unsharded store; with retrieval_shards="
-                f"{self.retrieval_shards} pass shard_concurrency "
-                "(per-shard executor counts) instead — got "
-                f"retrieval_concurrency={retrieval_concurrency}"
-            )
-        if (retrieval_concurrency is not None
-                and self.shard_concurrency is not None):
-            raise ValueError(
-                "pass either retrieval_concurrency (unsharded) or "
-                "shard_concurrency (per shard), not both — got "
-                f"retrieval_concurrency={retrieval_concurrency} and "
-                f"shard_concurrency={shard_concurrency!r}"
-            )
-        if slo_seconds is not None:
-            check_positive("slo_seconds", slo_seconds)
-            slo_seconds = float(slo_seconds)
-        if hedge_delay is not None:
-            check_positive("hedge_delay", hedge_delay)
-        self.slo_seconds = slo_seconds
-        self.speculation = make_speculation(
-            speculation, hedge_delay=hedge_delay, slo_seconds=slo_seconds)
-        if (self.speculation is not None and int(n_replicas) < 2
-                and self.scale_max < 2):
-            raise ValueError(
-                f"speculation {self.speculation.name!r} needs a second "
-                "replica to hedge onto; with n_replicas="
-                f"{int(n_replicas)} every hedge would be silently "
+                f"speculation {self.speculation_policy.name!r} needs a "
+                "second replica to hedge onto; with n_replicas="
+                f"{self.n_replicas} every hedge would be silently "
                 "skipped — pass --replicas 2 (or more), allow the "
                 "autoscaler to add one (--scale-max 2+), or drop "
                 "--speculation"
             )
-        self.reranker = make_reranker(reranker)
-        store = bundle.store
-        if (self.retrieval_shards != store.n_shards
-                or index != store.index_label):
-            store = store.reshard(self.retrieval_shards,
-                                  index_factory=index)
-        self.store = store
-        if replica_speeds is not None:
-            speeds = [float(s) for s in replica_speeds]
-            if len(speeds) != int(n_replicas):
+        canonical("reranker", make_reranker(self.reranker))
+        if self.replica_speeds is not None:
+            speeds = tuple(float(s) for s in self.replica_speeds)
+            if len(speeds) != self.n_replicas:
                 raise ValueError(
                     f"replica_speeds has {len(speeds)} entries but "
-                    f"n_replicas is {int(n_replicas)}; pass exactly one "
+                    f"n_replicas is {self.n_replicas}; pass exactly one "
                     "speed per replica (e.g. --replica-speeds 1.0,0.5 "
                     "with --replicas 2)"
                 )
             for i, s in enumerate(speeds):
                 check_positive(f"replica_speeds[{i}]", s)
-            replica_speeds = speeds
+            canonical("replica_speeds", speeds)
+        # Resolve the remaining derived knobs now, so their misuse also
+        # fails at construction rather than at first use.
+        for name in ("cache_config", "shard_limits"):
+            getattr(self, name)
+
+    @cached_property
+    def scale_range(self) -> tuple[int, int]:
+        """``(floor, ceiling)`` on replicas; ``n_replicas`` twice for a
+        static fleet."""
+        if self.autoscaler is None:
+            return self.n_replicas, self.n_replicas
+        lo = (1 if self.scale_min is None
+              else check_count("scale_min", self.scale_min, 1))
+        hi = (max(4, self.n_replicas, lo) if self.scale_max is None
+              else check_count("scale_max", self.scale_max, 1))
+        return lo, hi
+
+    @cached_property
+    def shard_limits(self) -> list[int | None]:
+        """Per-shard executor bounds (``None`` = unbounded)."""
+        return resolve_shard_concurrency(
+            self.retrieval_concurrency, self.shard_concurrency,
+            self.retrieval_shards)
+
+    @cached_property
+    def speculation_policy(self) -> SpeculationPolicy | None:
+        return make_speculation(self.speculation,
+                                hedge_delay=self.hedge_delay,
+                                slo_seconds=self.slo_seconds)
+
+    @cached_property
+    def cache_config(self) -> CacheConfig | None:
+        """``None`` when every cache tier is off (the byte-identity
+        path: the pipeline then builds no cache objects)."""
+        return make_cache_config(
+            result_cache=self.result_cache,
+            retrieval_cache=self.retrieval_cache,
+            cache_capacity=self.cache_capacity,
+            cache_eviction=self.cache_eviction,
+            semantic_threshold=self.semantic_threshold,
+            cache_ttl=self.cache_ttl,
+        )
+
+    @property
+    def scores_quality(self) -> bool:
+        """Quality SLOs are *measured* attainment, so targeting one
+        switches the harness on."""
+        return bool(self.quality_metrics) or self.quality_slo is not None
+
+    @property
+    def prices_idle(self) -> bool:
+        if self.price_idle_capacity is None:
+            return self.autoscaler is not None
+        return bool(self.price_idle_capacity)
+
+    def new_autoscaler(self) -> Autoscaler | None:
+        """A fresh :class:`~repro.workload.Autoscaler` for one run (it
+        accumulates events and holds loop references; the policy
+        itself is pure), or ``None`` for a static fleet."""
+        if self.autoscaler is None:
+            return None
+        lo, hi = self.scale_range
+        return Autoscaler(
+            self.autoscaler,
+            scale_min=lo,
+            scale_max=hi,
+            interval_s=(15.0 if self.autoscale_interval is None
+                        else self.autoscale_interval),
+            provision_delay_s=(30.0 if self.provision_delay is None
+                               else self.provision_delay),
+            workload=self.workload,
+        )
+
+
+class ExperimentRunner:
+    """Runs one policy over one dataset workload on a fresh engine.
+
+    ``knobs`` are the :class:`RunSpec` fields, validated there; the
+    spec is kept as :attr:`spec`. With ``n_replicas > 1`` (or an
+    autoscaler) the workload is served by a
+    :class:`~repro.serving.cluster.ClusterEngine` and each policy
+    decision sees a :class:`ClusterSchedulingView` of the replica its
+    query was routed to. Resource waits surface in
+    :attr:`RunResult.resource_stats` and the per-query queue-delay
+    fields.
+    """
+
+    def __init__(
+        self,
+        bundle: DatasetBundle,
+        engine_config: EngineConfig,
+        seed: int = 0,
+        quality_params: QualityParams | None = None,
+        **knobs,
+    ) -> None:
+        self.spec = spec = RunSpec(**knobs)
         self.bundle = bundle
         self.engine_config = engine_config
         self.seed = seed
-        self.n_replicas = int(n_replicas)
-        self.router = router
-        self.profiler_concurrency = profiler_concurrency
-        self.retrieval_concurrency = retrieval_concurrency
-        self.replica_speeds = replica_speeds
+        store = bundle.store
+        if (spec.retrieval_shards != store.n_shards
+                or spec.index != store.index_label):
+            store = store.reshard(spec.retrieval_shards,
+                                  index_factory=spec.index)
+        #: The (possibly resharded) store the queries search.
+        self.store = store
+        #: Per-shard executor bounds of :attr:`store`.
+        self.shard_concurrency = spec.shard_limits
         params = quality_params or bundle.quality_params
         self.generator = SimulatedGenerator(
             quality=QualityModel(params), root_seed=seed
@@ -540,7 +594,7 @@ class ExperimentRunner:
         # (possibly resharded) store the queries actually search.
         self.metric_harness = (
             MetricHarness(bundle, embedding=self.store.embedding)
-            if self.quality_metrics else None
+            if spec.scores_quality else None
         )
 
     # ------------------------------------------------------------------
@@ -554,48 +608,38 @@ class ExperimentRunner:
         Fig 19's strictly sequential mode: each query is submitted when
         the previous one completes).
         """
+        spec = self.spec
         config = replace(self.engine_config, policy=policy.engine_policy)
         engine: ServingEngine | ClusterEngine
-        if self.n_replicas > 1 or self.scaling_policy is not None:
+        if spec.n_replicas > 1 or spec.autoscaler is not None:
             # An autoscaled fleet is always a cluster, even when it
             # starts from one replica — elasticity lives there.
             engine = ClusterEngine(
                 config,
-                n_replicas=self.n_replicas,
-                router=self.router,
+                n_replicas=spec.n_replicas,
+                router=spec.router,
                 seed=self.seed,
-                replica_speeds=self.replica_speeds,
+                replica_speeds=spec.replica_speeds,
             )
         else:
-            speed = (self.replica_speeds[0]
-                     if self.replica_speeds else 1.0)
+            speed = (spec.replica_speeds[0]
+                     if spec.replica_speeds else 1.0)
             engine = ServingEngine(config, speed=speed)
-        autoscaler = None
-        if self.scaling_policy is not None:
-            # Fresh per run: the Autoscaler accumulates events and
-            # holds loop references; the policy itself is pure.
-            autoscaler = Autoscaler(
-                self.scaling_policy,
-                scale_min=self.scale_min,
-                scale_max=self.scale_max,
-                interval_s=self.autoscale_interval,
-                provision_delay_s=self.provision_delay,
-                workload=self.workload,
-            )
+        autoscaler = spec.new_autoscaler()
+        cache_config = spec.cache_config
         pipeline = QueryPipeline(
             bundle=self.bundle,
             policy=policy,
             engine=engine,
             generator=self.generator,
-            profiler_concurrency=self.profiler_concurrency,
-            retrieval_concurrency=self.retrieval_concurrency,
+            profiler_concurrency=spec.profiler_concurrency,
             store=self.store,
             shard_concurrency=self.shard_concurrency,
-            reranker=self.reranker,
-            speculation=self.speculation,
-            slo_seconds=self.slo_seconds,
+            reranker=spec.reranker,
+            speculation=spec.speculation_policy,
+            slo_seconds=spec.slo_seconds,
             autoscaler=autoscaler,
-            cache_config=self.cache_config,
+            cache_config=cache_config,
             metrics=self.metric_harness,
         )
         pipeline.run(arrivals, closed_loop_clients=closed_loop_clients)
@@ -621,7 +665,7 @@ class ExperimentRunner:
             max(0.0, provisioned[i] - replica_stats[i].busy_seconds)
             for i in range(len(provisioned))
         )
-        if self.price_idle_capacity:
+        if spec.prices_idle:
             ledger.charge_idle_capacity(engine.cluster, idle_seconds)
         return RunResult(
             policy=policy.name,
@@ -634,24 +678,23 @@ class ExperimentRunner:
             replica_speeds=replica_speeds,
             resource_stats=pipeline.resource_stats(),
             n_retrieval_shards=self.store.n_shards,
-            reranker=self.reranker.name if self.reranker else None,
-            slo_seconds=self.slo_seconds,
-            speculation=self.speculation.name if self.speculation else None,
-            autoscaler=(self.scaling_policy.name
-                        if self.scaling_policy else None),
+            reranker=spec.reranker.name if spec.reranker else None,
+            slo_seconds=spec.slo_seconds,
+            speculation=(spec.speculation_policy.name
+                         if spec.speculation_policy else None),
+            autoscaler=spec.autoscaler.name if spec.autoscaler else None,
             scaling_events=list(autoscaler.events) if autoscaler else [],
             provisioned_gpu_seconds=sum(provisioned),
-            idle_gpu_seconds=(idle_seconds
-                              if self.price_idle_capacity else 0.0),
-            result_cache=(self.cache_config.result_mode
-                          if self.cache_config is not None
-                          and self.cache_config.result_enabled else None),
-            retrieval_cache=(self.cache_config.retrieval
-                             if self.cache_config is not None else False),
+            idle_gpu_seconds=idle_seconds if spec.prices_idle else 0.0,
+            result_cache=(cache_config.result_mode
+                          if cache_config is not None
+                          and cache_config.result_enabled else None),
+            retrieval_cache=(cache_config.retrieval
+                             if cache_config is not None else False),
             cache_stats=pipeline.cache_stats(),
-            quality_metrics=self.quality_metrics,
-            quality_slo=(self.quality_slo.spec
-                         if self.quality_slo is not None else None),
+            quality_metrics=spec.scores_quality,
+            quality_slo=(spec.quality_slo.spec
+                         if spec.quality_slo is not None else None),
         )
 
     # ------------------------------------------------------------------

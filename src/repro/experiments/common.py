@@ -189,79 +189,24 @@ def run_policy(
     engine_config: EngineConfig | None = None,
     quality_params: QualityParams | None = None,
     sequential: bool = False,
-    n_replicas: int = 1,
-    router: str = "least-kv-load",
-    profiler_concurrency: int | None = None,
-    retrieval_concurrency: int | None = None,
     closed_loop_clients: int = 1,
-    replica_speeds: list[float] | None = None,
-    retrieval_shards: int = 1,
-    shard_concurrency=None,
-    reranker=None,
-    index: str = "flat",
-    slo_seconds: float | None = None,
-    speculation=None,
-    hedge_delay: float | None = None,
     workload=None,
-    autoscaler=None,
-    scale_min: int | None = None,
-    scale_max: int | None = None,
-    autoscale_interval: float | None = None,
-    provision_delay: float | None = None,
-    price_idle_capacity: bool | None = None,
-    result_cache: str | None = None,
-    retrieval_cache: bool = False,
-    cache_capacity: int | None = None,
-    cache_eviction: str | None = None,
-    semantic_threshold: float | None = None,
-    cache_ttl: float | None = None,
-    quality_metrics: bool = False,
-    quality_slo: str | None = None,
+    **knobs,
 ) -> RunResult:
     """Run one policy over the bundle's standard workload.
 
-    ``n_replicas > 1`` serves the workload on a replicated cluster
-    behind the named load-aware ``router`` (see
-    :mod:`repro.serving.cluster`); ``replica_speeds`` (one multiplier
-    per replica) makes the fleet heterogeneous. Finite
-    ``profiler_concurrency`` / ``retrieval_concurrency`` make the
-    profiler API and the vector store contended FIFO resources (see
-    :mod:`repro.sim`); ``closed_loop_clients`` sets how many queries a
-    ``sequential`` workload keeps outstanding. ``retrieval_shards`` /
-    ``shard_concurrency`` / ``reranker`` / ``index`` configure the
-    scatter-gather retrieval subsystem (see
-    :mod:`repro.retrieval.sharded` and
-    :class:`~repro.evaluation.runner.ExperimentRunner`);
-    ``slo_seconds`` / ``speculation`` / ``hedge_delay`` configure
-    deadline-aware speculative hedging (see
-    :mod:`repro.serving.speculation`).
+    The arguments here shape the arrivals; ``knobs`` are the
+    :class:`~repro.evaluation.runner.RunSpec` fields (fleet, retrieval,
+    speculation, scaling, cache and quality), passed through unchanged.
+    ``closed_loop_clients`` sets how many queries a ``sequential``
+    workload keeps outstanding.
 
     ``workload`` replaces the one-shot Poisson arrivals with a
     trace-driven :class:`~repro.workload.Workload` (a generator name,
     a trace-file path, or an instance — see
     :func:`repro.workload.make_workload`); the bundle's queries cycle
-    through the trace's arrival slots. ``autoscaler`` /
-    ``scale_min`` / ``scale_max`` / ``autoscale_interval`` /
-    ``provision_delay`` / ``price_idle_capacity`` configure elastic
-    capacity on top (see :mod:`repro.workload.autoscaler`); the
-    default (``None`` / ``"none"``) keeps the fleet static and the
-    schedule byte-identical.
-
-    ``result_cache`` / ``retrieval_cache`` / ``cache_capacity`` /
-    ``cache_eviction`` / ``semantic_threshold`` / ``cache_ttl``
-    configure the multi-tier caching subsystem (see
-    :mod:`repro.caching` and ``docs/CACHING.md``); the default
-    (``None`` / off) constructs no caches and keeps the schedule
-    byte-identical.
-
-    ``quality_metrics`` turns on the multi-metric quality harness
-    (per-record faithfulness / answer relevancy / context precision /
-    context recall — see :mod:`repro.evaluation.metrics` and
-    ``docs/EVALUATION.md``); ``quality_slo`` ("metric>=value") implies
-    it and stamps the run for
-    :func:`~repro.evaluation.slo.evaluate_quality_slo`. Scoring is
-    post-serve, so neither perturbs the event schedule; the default
-    (off) keeps records field-for-field identical.
+    through the trace's arrival slots, and the resolved trace is
+    handed on to the spec for the forecast autoscalers.
     """
     queries = bundle.queries if n_queries is None else bundle.queries[:n_queries]
     wl = None
@@ -291,33 +236,8 @@ def run_policy(
         engine_config or default_engine_config(),
         seed=seed,
         quality_params=quality_params,
-        n_replicas=n_replicas,
-        router=router,
-        profiler_concurrency=profiler_concurrency,
-        retrieval_concurrency=retrieval_concurrency,
-        replica_speeds=replica_speeds,
-        retrieval_shards=retrieval_shards,
-        shard_concurrency=shard_concurrency,
-        reranker=reranker,
-        index=index,
-        slo_seconds=slo_seconds,
-        speculation=speculation,
-        hedge_delay=hedge_delay,
         workload=wl,
-        autoscaler=autoscaler,
-        scale_min=scale_min,
-        scale_max=scale_max,
-        autoscale_interval=autoscale_interval,
-        provision_delay=provision_delay,
-        price_idle_capacity=price_idle_capacity,
-        result_cache=result_cache,
-        retrieval_cache=retrieval_cache,
-        cache_capacity=cache_capacity,
-        cache_eviction=cache_eviction,
-        semantic_threshold=semantic_threshold,
-        cache_ttl=cache_ttl,
-        quality_metrics=quality_metrics,
-        quality_slo=quality_slo,
+        **knobs,
     )
     return runner.run(policy, arrivals, closed_loop_clients=closed_loop_clients)
 

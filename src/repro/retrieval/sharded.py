@@ -46,10 +46,10 @@ from repro.retrieval.embedding import EmbeddingModel, HashedEmbedding
 from repro.retrieval.index import INDEX_FACTORIES
 from repro.util.rng import derive_seed
 from repro.util.validation import (
+    check_count,
     check_in_range,
     check_non_negative,
     check_positive,
-    check_shard_count,
 )
 
 __all__ = ["SearchHit", "ShardedVectorStore"]
@@ -105,7 +105,7 @@ class ShardedVectorStore:
         shard_overhead_fraction: float = 0.25,
         gather_per_candidate_s: float = 2e-5,
     ) -> None:
-        check_shard_count("n_shards", n_shards)
+        check_count("n_shards", n_shards, minimum=1)
         check_positive("retrieval_latency_s", retrieval_latency_s)
         check_in_range("shard_overhead_fraction", shard_overhead_fraction,
                        0.0, 1.0)

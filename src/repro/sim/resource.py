@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.kernel import EventLoop
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Event
@@ -160,11 +160,11 @@ class Resource:
     def __init__(self, name: str, loop: EventLoop,
                  concurrency: int | None = None,
                  coalesce: bool = False) -> None:
-        if concurrency is not None:
-            check_positive("concurrency", concurrency)
         self.name = name
         self.loop = loop
-        self.concurrency = float("inf") if concurrency is None else int(concurrency)
+        self.concurrency = (float("inf") if concurrency is None else
+                            check_positive_int(f"{name} concurrency",
+                                               concurrency))
         #: Merge the whole wait queue into one amortized grant whenever
         #: a slot frees (see the module docstring). Never engages while
         #: the resource is uncontended.

@@ -13,7 +13,10 @@ Three pieces:
 * :func:`run_cell` — execute one cell (a plain parameter dict, fully
   picklable) and return its scalar summary. Cells sharing a
   ``(dataset, seed, queries)`` key reuse one per-process
-  :class:`DatasetBundle` instead of rebuilding it (~1.6s) every cell.
+  :class:`DatasetBundle` from :func:`~repro.data.build_dataset`'s
+  cache instead of rebuilding it (~1.6s) every cell. Reuse is safe:
+  the runner never mutates a bundle (resharding returns a new store)
+  and builds a fresh engine and pipeline per run.
 * :func:`sweep` — run many cells, either in-process (``jobs <= 1``)
   or on a :class:`~concurrent.futures.ProcessPoolExecutor`. The
   merged payload contains **only** cell parameters and results (no
@@ -45,39 +48,20 @@ from typing import Any
 __all__ = ["CELL_DEFAULTS", "expand_cells", "run_cell", "sweep",
            "canonical_json"]
 
-#: Per-process DatasetBundle cache, keyed ``(dataset, seed, queries)``.
-#: Building a bundle (corpus synthesis + index build) dominates small
-#: cells (~1.6s), and ``build_dataset`` is a pure function of the key,
-#: so workers build each distinct bundle once and reuse it across
-#: cells. Reuse is safe: the experiment runner never mutates a bundle
-#: (resharding returns a *new* store) and builds a fresh engine and
-#: pipeline per run, so cached-bundle results are byte-identical to a
-#: rebuild — the ``test_sweep.py`` canonical-JSON equality still pins
-#: sequential == parallel.
-_BUNDLE_CACHE: dict[tuple[str, int, int | None], Any] = {}
-
-
-def _get_bundle(dataset: str, seed: int, queries: int | None):
-    key = (dataset, seed, queries)
-    bundle = _BUNDLE_CACHE.get(key)
-    if bundle is None:
-        from repro.data import build_dataset
-
-        bundle = build_dataset(dataset, seed=seed, n_queries=queries)
-        _BUNDLE_CACHE[key] = bundle
-    return bundle
-
 
 def _warm_worker(keys: tuple[tuple[str, int, int | None], ...]) -> None:
     """Executor initializer: pre-build shared bundles once per worker.
 
     Only invoked with the sweep's bundle keys when every cell shares
     them (the common fixed-dataset rate/config sweep); heterogeneous
-    sweeps (e.g. over seeds) let each worker populate its cache lazily
-    from the cells it actually receives.
+    sweeps (e.g. over seeds) let each worker fill
+    :func:`~repro.data.build_dataset`'s per-process cache lazily from
+    the cells it actually receives.
     """
+    from repro.data import build_dataset
+
     for dataset, seed, queries in keys:
-        _get_bundle(dataset, seed, queries)
+        build_dataset(dataset, seed=seed, n_queries=queries)
 
 
 #: Recognized cell parameters and their defaults (mirrors the ``run``
@@ -145,10 +129,12 @@ def run_cell(cell: dict[str, Any]) -> dict[str, Any]:
     module stays importable without pulling the full pipeline.
     """
     from repro.cli import build_policy
+    from repro.data import build_dataset
     from repro.experiments.common import run_policy
 
     p = _validated(cell)
-    bundle = _get_bundle(p["dataset"], p["seed"], p["queries"])
+    bundle = build_dataset(p["dataset"], seed=p["seed"],
+                           n_queries=p["queries"])
     policy = build_policy(p["policy"], bundle, p["config"], p["seed"])
     result = run_policy(
         bundle, policy,

@@ -6,13 +6,16 @@ deeply nested simulator code point directly at the offending parameter.
 
 from __future__ import annotations
 
+from numbers import Real
+
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in_range",
-    "check_shard_count",
+    "check_positive_int",
     "check_shard_concurrency",
+    "resolve_shard_concurrency",
     "check_count",
     "check_non_empty",
 ]
@@ -46,24 +49,22 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def check_shard_count(name: str, value) -> int:
-    """Require an integral shard count >= 1; return it as ``int``."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{name} must be an integer >= 1, got {value!r}"
-        ) from None
-    if as_int != value or as_int < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return as_int
+def check_positive_int(name: str, value) -> int:
+    """Require an integral ``value > 0``; return it as ``int``.
+
+    For slot and replica counts, where truncating ``0.5`` to ``0``
+    would silently build a dead resource.
+    """
+    check_positive(name, value)
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_count(name: str, value, minimum: int = 0) -> int:
     """Require an integral count >= ``minimum``; return it as ``int``.
 
-    The generic sibling of :func:`check_shard_count`, used by the
-    workload/autoscaler layer for arrival counts, period counts, and
+    Used for shard counts, arrival counts, period counts and
     fleet-size bounds.
     """
     try:
@@ -103,9 +104,8 @@ def check_shard_concurrency(name: str, value, n_shards: int):
     """
     if value is None:
         return None
-    if isinstance(value, int) and not isinstance(value, bool):
-        check_positive(name, value)
-        return [int(value)] * int(n_shards)
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return [check_positive_int(name, value)] * int(n_shards)
     entries = list(value)
     if len(entries) != int(n_shards):
         raise ValueError(
@@ -118,6 +118,39 @@ def check_shard_concurrency(name: str, value, n_shards: int):
         if entry is None:
             out.append(None)
             continue
-        check_positive(f"{name}[{i}]", entry)
-        out.append(int(entry))
+        out.append(check_positive_int(f"{name}[{i}]", entry))
     return out
+
+
+def resolve_shard_concurrency(retrieval_concurrency, shard_concurrency,
+                              n_shards: int) -> list[int | None]:
+    """Per-shard executor bounds of an ``n_shards`` store.
+
+    ``retrieval_concurrency`` bounds the sole executor pool of an
+    unsharded store; ``shard_concurrency`` is normalised by
+    :func:`check_shard_concurrency`. Combining the two, or passing
+    ``retrieval_concurrency`` to a sharded store, is rejected rather
+    than silently reinterpreted. ``None`` entries are unbounded.
+    """
+    if retrieval_concurrency is not None:
+        retrieval_concurrency = check_positive_int(
+            "retrieval_concurrency", retrieval_concurrency)
+    per_shard = check_shard_concurrency(
+        "shard_concurrency", shard_concurrency, n_shards)
+    if retrieval_concurrency is None:
+        return per_shard or [None] * int(n_shards)
+    if n_shards > 1:
+        raise ValueError(
+            "retrieval_concurrency bounds the single executor pool of "
+            f"an unsharded store; with {n_shards} shards pass "
+            "shard_concurrency (per-shard executor counts) instead — "
+            f"got retrieval_concurrency={retrieval_concurrency}"
+        )
+    if per_shard is not None:
+        raise ValueError(
+            "pass either retrieval_concurrency (unsharded) or "
+            "shard_concurrency (per shard), not both — got "
+            f"retrieval_concurrency={retrieval_concurrency} and "
+            f"shard_concurrency={shard_concurrency!r}"
+        )
+    return [retrieval_concurrency]

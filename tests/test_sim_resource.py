@@ -203,6 +203,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Resource("r", EventLoop(), concurrency=0)
 
+    def test_fractional_concurrency_rejected(self):
+        """0.5 slots must not truncate to a zero-slot resource that
+        silently never grants."""
+        with pytest.raises(ValueError,
+                           match="r concurrency must be an integer"):
+            Resource("r", EventLoop(), concurrency=0.5)
+
     def test_negative_hold_rejected(self):
         resource = Resource("r", EventLoop(), concurrency=1)
         with pytest.raises(ValueError):

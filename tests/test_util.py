@@ -17,7 +17,12 @@ from repro.util import (
     format_tokens,
     stream,
 )
-from repro.util.validation import check_shard_concurrency, check_shard_count
+from repro.util.validation import (
+    check_count,
+    check_positive_int,
+    check_shard_concurrency,
+    resolve_shard_concurrency,
+)
 
 
 class TestDeriveSeed:
@@ -110,15 +115,37 @@ class TestValidation:
             check_in_range("v", 11, 0, 10)
 
 
-class TestShardValidation:
-    def test_shard_count_accepts_integral(self):
-        assert check_shard_count("k", 4) == 4
-        assert check_shard_count("k", 4.0) == 4
+class TestCheckCount:
+    def test_accepts_integral(self):
+        assert check_count("k", 4, minimum=1) == 4
+        assert check_count("k", 4.0, minimum=1) == 4
+        assert check_count("k", 0) == 0
 
-    def test_shard_count_rejects_bad_values(self):
+    def test_rejects_bad_values(self):
         for bad in (0, -1, 1.5, "four", None):
-            with pytest.raises(ValueError, match="k must be an integer"):
-                check_shard_count("k", bad)
+            with pytest.raises(ValueError,
+                               match="k must be an integer >= 1"):
+                check_count("k", bad, minimum=1)
+
+
+class TestCheckPositiveInt:
+    def test_accepts_integral(self):
+        assert check_positive_int("n", 3) == 3
+        assert check_positive_int("n", 3.0) == 3
+        assert type(check_positive_int("n", 3.0)) is int
+
+    def test_non_positive_keeps_positive_message(self):
+        for bad in (0, -2, -0.5):
+            with pytest.raises(ValueError, match="n must be > 0"):
+                check_positive_int("n", bad)
+
+    def test_rejects_fractions(self):
+        for bad in (0.5, 1.5, float("inf")):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                check_positive_int("n", bad)
+
+
+class TestShardValidation:
 
     def test_shard_concurrency_none_passthrough(self):
         assert check_shard_concurrency("sc", None, 4) is None
@@ -141,3 +168,39 @@ class TestShardValidation:
     def test_shard_concurrency_rejects_nonpositive_scalar(self):
         with pytest.raises(ValueError, match="sc must be > 0"):
             check_shard_concurrency("sc", 0, 2)
+
+    def test_shard_concurrency_rejects_fractional_entries(self):
+        with pytest.raises(ValueError, match=r"sc\[1\] must be an integer"):
+            check_shard_concurrency("sc", [1, 0.5], 2)
+        with pytest.raises(ValueError, match="sc must be an integer"):
+            check_shard_concurrency("sc", 1.5, 2)
+
+
+class TestResolveShardConcurrency:
+    def test_unbounded_default(self):
+        assert resolve_shard_concurrency(None, None, 3) == [None] * 3
+
+    def test_retrieval_concurrency_bounds_the_sole_shard(self):
+        assert resolve_shard_concurrency(4, None, 1) == [4]
+
+    def test_shard_concurrency_is_normalised(self):
+        assert resolve_shard_concurrency(None, 2, 3) == [2, 2, 2]
+        assert resolve_shard_concurrency(None, [1, None], 2) == [1, None]
+
+    def test_idempotent_on_its_output(self):
+        per_shard = resolve_shard_concurrency(None, [1, None, 3], 3)
+        assert resolve_shard_concurrency(None, per_shard, 3) == per_shard
+
+    def test_retrieval_concurrency_rejected_on_sharded_store(self):
+        with pytest.raises(ValueError,
+                           match="with 2 shards pass shard_concurrency"):
+            resolve_shard_concurrency(4, None, 2)
+
+    def test_both_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            resolve_shard_concurrency(4, 2, 1)
+
+    def test_fractional_retrieval_concurrency_rejected(self):
+        with pytest.raises(ValueError,
+                           match="retrieval_concurrency must be an integer"):
+            resolve_shard_concurrency(0.5, None, 1)
