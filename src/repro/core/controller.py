@@ -17,7 +17,6 @@ from repro.config.space import PrunedSpace
 from repro.core.feedback import FeedbackConfig, FeedbackLoop
 from repro.core.mapping import map_profile_to_space
 from repro.core.policy import (
-    ClusterSchedulingView,
     Decision,
     PrepResult,
     RAGPolicy,
@@ -231,7 +230,7 @@ class MetisPolicy(RAGPolicy):
         """
         if not self.config.cluster_aware:
             return None, None
-        if not isinstance(view, ClusterSchedulingView) or view.n_replicas < 2:
+        if view.n_replicas < 2:
             return None, None
         best = view.best_replica()
         if best == view.replica_id:

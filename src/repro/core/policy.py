@@ -6,8 +6,9 @@ A policy is consulted twice per query by the experiment runner:
    call and returns its latency/cost; the runner simulates that latency
    before proceeding.
 2. :meth:`RAGPolicy.choose` when the profiler returns — sees a
-   :class:`SchedulingView` of the engine at *that* moment (free KV
-   memory, plan estimator) and commits to a :class:`RAGConfig`.
+   :class:`SchedulingView` of the routed replica at *that* moment
+   (free KV memory, per-replica load) and commits to a
+   :class:`RAGConfig`.
 
 METIS, the fixed-config baselines, Parrot*, and AdaptiveRAG* are all
 implementations of this interface; they differ only in what they do in
@@ -29,8 +30,7 @@ from repro.synthesis import estimate_footprint
 from repro.synthesis.footprint import PlanFootprint
 from repro.synthesis.plans import SynthesisPlan
 
-__all__ = ["PrepResult", "SchedulingView", "ClusterSchedulingView",
-           "Decision", "RAGPolicy"]
+__all__ = ["PrepResult", "SchedulingView", "Decision", "RAGPolicy"]
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,25 @@ class PrepResult:
 
 @dataclass(frozen=True)
 class SchedulingView:
-    """A policy's window onto the system at decision time.
+    """A policy's window onto one replica of the serving cluster at
+    decision time.
+
+    The scalar ``free_kv_bytes`` / ``available_kv_bytes`` fields are
+    the *routed* replica's figures, so a memory-aware scheduler prunes
+    per-replica by construction. The per-replica tuples expose the
+    whole cluster for placement decisions (e.g. METIS' fallback rescue:
+    when nothing fits on the routed replica, re-place the query where
+    memory is plentiful instead of degrading its configuration); they
+    default to empty, which reads as a single replica.
 
     Attributes:
         available_kv_bytes: free KV memory net of queued demand — the
             signal METIS' joint scheduler consumes.
         estimate_plan: builds the full synthesis plan a config would
-            produce (using the dataset's nominal chunk size). Kept for
-            call-level consumers and the reference decision path; the
-            hot path sizes configs with :meth:`footprint` instead.
+            produce (using the dataset's nominal chunk size). Only the
+            reference decision path reads it, and it builds the same
+            plan itself when this is ``None``; the hot path sizes
+            configs with :meth:`footprint` instead.
     """
 
     now: float
@@ -65,6 +75,24 @@ class SchedulingView:
     query_tokens: int
     answer_tokens: int
     estimate_plan: Callable[[RAGConfig], SynthesisPlan] | None = None
+    replica_id: int = 0
+    replica_free_kv_bytes: tuple[float, ...] = ()
+    replica_available_kv_bytes: tuple[float, ...] = ()
+    #: Event-time replica clocks at the decision instant. Replicas
+    #: advance independently on the shared event loop, so these are
+    #: *not* equal: busy replicas sit at (or ahead of) the frontier,
+    #: idle ones lag at their last admission. Placement heuristics can
+    #: read them alongside the memory tuples.
+    replica_now: tuple[float, ...] = ()
+    #: Per-replica hardware-throughput multipliers (heterogeneous
+    #: fleets); all-1.0 for homogeneous clusters.
+    replica_speeds: tuple[float, ...] = ()
+    #: Per-replica outstanding-request counts (waiting + running) at
+    #: the decision instant — the queue-depth signal the deadline-risk
+    #: speculation policy sizes its completion estimates with (sourced
+    #: from :meth:`~repro.serving.cluster.ClusterEngine.replica_outstanding`
+    #: rather than recomputed ad hoc).
+    replica_outstanding: tuple[int, ...] = ()
 
     def footprint(self, config: RAGConfig) -> PlanFootprint:
         """Closed-form footprint of the plan ``config`` would produce
@@ -78,43 +106,11 @@ class SchedulingView:
         need = plan.fit_tokens * self.kv_bytes_per_token * (1.0 + buffer_frac)
         return need <= self.available_kv_bytes
 
-
-@dataclass(frozen=True)
-class ClusterSchedulingView(SchedulingView):
-    """A :class:`SchedulingView` onto one replica of a serving cluster.
-
-    The scalar ``free_kv_bytes`` / ``available_kv_bytes`` fields are
-    the *routed* replica's figures, so a memory-aware scheduler prunes
-    per-replica by construction. The per-replica tuples expose the
-    whole cluster for placement decisions (e.g. METIS' fallback rescue:
-    when nothing fits on the routed replica, re-place the query where
-    memory is plentiful instead of degrading its configuration).
-    """
-
-    replica_id: int = 0
-    replica_free_kv_bytes: tuple[float, ...] = ()
-    replica_available_kv_bytes: tuple[float, ...] = ()
-    #: Event-time replica clocks at the decision instant. Replicas
-    #: advance independently on the shared event loop, so these are
-    #: *not* equal: busy replicas sit at (or ahead of) the frontier,
-    #: idle ones lag at their last admission. Placement heuristics can
-    #: read them alongside the memory tuples.
-    replica_now: tuple[float, ...] = ()
-    #: Per-replica hardware-throughput multipliers (heterogeneous
-    #: fleets); empty or all-1.0 for homogeneous clusters.
-    replica_speeds: tuple[float, ...] = ()
-    #: Per-replica outstanding-request counts (waiting + running) at
-    #: the decision instant — the queue-depth signal the deadline-risk
-    #: speculation policy sizes its completion estimates with (sourced
-    #: from :meth:`~repro.serving.cluster.ClusterEngine.replica_outstanding`
-    #: rather than recomputed ad hoc).
-    replica_outstanding: tuple[int, ...] = ()
-
     @property
     def n_replicas(self) -> int:
         return max(1, len(self.replica_available_kv_bytes))
 
-    def for_replica(self, replica_id: int) -> "ClusterSchedulingView":
+    def for_replica(self, replica_id: int) -> "SchedulingView":
         """The same moment in time, viewed from another replica."""
         if not 0 <= replica_id < len(self.replica_available_kv_bytes):
             raise ValueError(

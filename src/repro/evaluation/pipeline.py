@@ -12,7 +12,10 @@ Each query traverses five explicit stages on the shared
   slot, which makes Fig 18's overhead load-dependent instead of a
   constant.
 * :class:`DecideStage` — configuration choice against a scheduling
-  view of the (cluster) engine, including cluster-aware re-placement.
+  view of the routed replica of the
+  :class:`~repro.serving.cluster.ClusterEngine` (the only engine type
+  the pipeline drives; one replica is the single-GPU case), including
+  cluster-aware re-placement.
   With a :class:`~repro.serving.speculation.SpeculationPolicy`
   configured it also *plans the hedge*: an at-risk query gets a
   ``hedge:arm`` event on the loop, cancelled if the query finishes
@@ -32,7 +35,7 @@ Each query traverses five explicit stages on the shared
   the serving engine and *await their completion events*: engine
   iterations are first-class events on the shared loop (a
   :class:`~repro.sim.driver.StepDriver` keeps one step event armed per
-  engine/cluster; idle replicas sleep, admission wakes them), so each
+  cluster; idle replicas sleep, admission wakes them), so each
   call's ``on_finish`` fires from within the step event that completes
   it — no stage ever polls the engine. Completion closes the loop
   (records, feedback, closed-loop re-arrival).
@@ -78,13 +81,7 @@ from repro.caching import (
     RetrievalCache,
 )
 from repro.config.knobs import RAGConfig, SynthesisMethod
-from repro.core.policy import (
-    ClusterSchedulingView,
-    Decision,
-    PrepResult,
-    RAGPolicy,
-    SchedulingView,
-)
+from repro.core.policy import Decision, PrepResult, RAGPolicy, SchedulingView
 from repro.data.types import DatasetBundle, Query
 from repro.data.workload import Arrival
 from repro.evaluation.costs import CostLedger
@@ -94,7 +91,6 @@ from repro.llm.generation import SimulatedGenerator
 from repro.retrieval.rerank import ExactReranker
 from repro.retrieval.sharded import SearchHit, ShardedVectorStore
 from repro.serving.cluster import ClusterEngine
-from repro.serving.engine import ServingEngine
 from repro.serving.request import InferenceRequest
 from repro.serving.speculation import (
     HedgeContext,
@@ -158,8 +154,8 @@ class QueryRecord:
     queueing_delay: float
     prefill_tokens: int
     output_tokens: int
-    #: Which cluster replica served this query (0 on a bare engine;
-    #: the *winning* lane's replica when the query was hedged).
+    #: Which cluster replica served this query (the *winning* lane's
+    #: replica when the query was hedged).
     replica: int = 0
     #: Seconds spent waiting for a profiler slot (0 when unbounded).
     profiler_queue_delay: float = 0.0
@@ -415,17 +411,15 @@ class DecideStage(_Stage):
         ex.decision_time = t
         view = p.make_view(ex.query)
         ex.decision = p.policy.choose(ex.query, ex.prep, view)
-        if isinstance(p.engine, ClusterEngine):
-            # Cluster-aware policies may re-place the query on a
-            # replica with more claimable memory (fallback rescue).
-            preferred = ex.decision.notes.get("preferred_replica")
-            if preferred is not None and p.engine.is_active(preferred):
-                # A preference for a replica that started draining
-                # since the view was built is dropped, not honoured:
-                # draining replicas take no new placements.
-                p.engine.pin_app(ex.query.query_id, preferred)
-            pinned = p.engine.replica_of_app(ex.query.query_id)
-            ex.replica = 0 if pinned is None else pinned
+        # Cluster-aware policies may re-place the query on a replica
+        # with more claimable memory (fallback rescue).
+        preferred = ex.decision.notes.get("preferred_replica")
+        if preferred is not None and p.engine.is_active(preferred):
+            # A preference for a replica that started draining since
+            # the view was built is dropped, not honoured: draining
+            # replicas take no new placements.
+            p.engine.pin_app(ex.query.query_id, preferred)
+        ex.replica = p.engine.replica_of_app(ex.query.query_id)
         if p.cache_resource is not None:
             # Probe the cache tiers first; only a full miss opens the
             # primary lane and proceeds to retrieval. Caching off
@@ -451,20 +445,14 @@ class DecideStage(_Stage):
             est_seconds = footprint.service_seconds(p.engine.cost)
         else:
             est_seconds = 0.0  # pure timers never read the estimate
-        if isinstance(view, ClusterSchedulingView):
-            outstanding = view.replica_outstanding
-            speeds = view.replica_speeds
-        else:
-            outstanding = (p.engine.outstanding,)
-            speeds = (p.engine.speed,)
         ctx = HedgeContext(
             arrival_time=ex.arrival_time,
             decision_time=t,
             deadline=ex.deadline,
             est_service_seconds=est_seconds,
             primary=ex.replica,
-            replica_outstanding=outstanding,
-            replica_speeds=speeds,
+            replica_outstanding=view.replica_outstanding,
+            replica_speeds=view.replica_speeds,
         )
         arm_at = p.speculation.hedge_time(ctx)
         if arm_at is None:
@@ -772,7 +760,7 @@ class QueryPipeline:
         self,
         bundle: DatasetBundle,
         policy: RAGPolicy,
-        engine: ServingEngine | ClusterEngine,
+        engine: ClusterEngine,
         generator: SimulatedGenerator,
         profiler_concurrency: int | None = None,
         retrieval_concurrency: int | None = None,
@@ -821,9 +809,6 @@ class QueryPipeline:
                      per_shard[sid])
             for sid in range(n_shards)
         ]
-        #: Legacy alias: the single retrieval resource (K=1 only).
-        self.retrieval = (self.shard_resources[0]
-                          if n_shards == 1 else None)
         self.rerank_resource = (
             Resource(RERANK_RESOURCE, self.loop, None)
             if reranker is not None else None
@@ -930,14 +915,11 @@ class QueryPipeline:
         if ex.done:  # pragma: no cover - arm events are cancelled at win
             return
         engine = self.engine
-        if isinstance(engine, ClusterEngine):
-            target = self.speculation.choose_replica(
-                engine.replica_outstanding(), engine.replica_speeds,
-                ex.lanes[0].replica,
-                eligible=engine.active_replica_ids(),
-            )
-        else:
-            target = None  # a bare engine has nowhere to hedge to
+        target = self.speculation.choose_replica(
+            engine.replica_outstanding(), engine.replica_speeds,
+            ex.lanes[0].replica,
+            eligible=engine.active_replica_ids(),
+        )
         if target is None:
             return
         app_id = f"{ex.query.query_id}#hedge"
@@ -996,8 +978,7 @@ class QueryPipeline:
         seconds = self._wasted_seconds(lane, wasted_prefill, wasted_decode)
         ex.speculation_seconds += seconds
         self.speculation_gpu_seconds += seconds
-        if isinstance(self.engine, ClusterEngine):
-            self.engine.release_app(lane.app_id)
+        self.engine.release_app(lane.app_id)
 
     def _wasted_seconds(self, lane: Lane, prefill_tokens: int,
                         decode_tokens: int) -> float:
@@ -1009,11 +990,7 @@ class QueryPipeline:
             return 0.0
         seconds = self.engine.cost.request_seconds(prefill_tokens,
                                                    decode_tokens)
-        if isinstance(self.engine, ClusterEngine):
-            speed = self.engine.replicas[lane.replica].speed
-        else:
-            speed = self.engine.speed
-        return seconds / speed
+        return seconds / self.engine.replicas[lane.replica].speed
 
     # ------------------------------------------------------------------
     def finalize(self, ex: QueryExecution, lane: Lane, now: float) -> None:
@@ -1105,10 +1082,9 @@ class QueryPipeline:
                 config_label=ex.decision.config.label(),
             )
             self.charge_cache_insert(now)
-        if isinstance(self.engine, ClusterEngine):
-            self.engine.release_app(ex.query.query_id)
-            # A winning hedge lane's pin must not outlive the query.
-            self.engine.release_app(lane.app_id)
+        self.engine.release_app(ex.query.query_id)
+        # A winning hedge lane's pin must not outlive the query.
+        self.engine.release_app(lane.app_id)
         self.policy.on_complete(ex.query, answer.f1, record.e2e_delay)
         if self._pending_closed:
             nxt = self._pending_closed.popleft()
@@ -1222,11 +1198,10 @@ class QueryPipeline:
             **_metric_fields(quality),
         )
         self.records.append(record)
-        if isinstance(self.engine, ClusterEngine):
-            # make_view pinned the query's app id at decide time; a hit
-            # never admits engine requests, so release the pin here or
-            # it leaks for the rest of the run.
-            self.engine.release_app(ex.query.query_id)
+        # make_view pinned the query's app id at decide time; a hit
+        # never admits engine requests, so release the pin here or it
+        # leaks for the rest of the run.
+        self.engine.release_app(ex.query.query_id)
         self.policy.on_complete(ex.query, f1, record.e2e_delay)
         if self._pending_closed:
             nxt = self._pending_closed.popleft()
@@ -1262,52 +1237,25 @@ class QueryPipeline:
         return self._synthesizers[method]
 
     def make_view(self, query: Query) -> SchedulingView:
+        # Route (and pin) the query now so the policy sees the KV memory
+        # of the replica its calls will actually land on.
         engine = self.engine
-        chunk_tokens = self.bundle.chunk_tokens
-
-        def estimate_plan(config: RAGConfig) -> SynthesisPlan:
-            synthesizer = self.synthesizer(config)
-            return synthesizer.build_plan(
-                query_id=f"{query.query_id}/est",
-                query_tokens=query.n_tokens,
-                chunk_tokens=[chunk_tokens] * config.num_chunks,
-                answer_tokens=query.answer_tokens_estimate,
-                config=config,
-            )
-
-        if isinstance(engine, ClusterEngine):
-            # Route (and pin) the query now so the policy sees the KV
-            # memory of the replica its calls will actually land on.
-            rid = engine.assign_app(query.query_id)
-            target = engine.replicas[rid]
-            return ClusterSchedulingView(
-                now=engine.now,
-                free_kv_bytes=target.free_kv_bytes(),
-                available_kv_bytes=target.available_kv_bytes(),
-                kv_bytes_per_token=target.memory.kv_bytes_per_token,
-                chunk_tokens=chunk_tokens,
-                query_tokens=query.n_tokens,
-                answer_tokens=query.answer_tokens_estimate,
-                estimate_plan=estimate_plan,
-                replica_id=rid,
-                replica_free_kv_bytes=tuple(
-                    r.free_kv_bytes() for r in engine.replicas
-                ),
-                replica_available_kv_bytes=tuple(
-                    r.available_kv_bytes() for r in engine.replicas
-                ),
-                replica_now=tuple(r.now for r in engine.replicas),
-                replica_speeds=engine.replica_speeds,
-                replica_outstanding=engine.replica_outstanding(),
-            )
-
+        rid = engine.assign_app(query.query_id)
+        replicas = engine.replicas
+        free = tuple(r.free_kv_bytes() for r in replicas)
+        available = tuple(r.available_kv_bytes() for r in replicas)
         return SchedulingView(
             now=engine.now,
-            free_kv_bytes=engine.free_kv_bytes(),
-            available_kv_bytes=engine.available_kv_bytes(),
-            kv_bytes_per_token=engine.memory.kv_bytes_per_token,
-            chunk_tokens=chunk_tokens,
+            free_kv_bytes=free[rid],
+            available_kv_bytes=available[rid],
+            kv_bytes_per_token=replicas[rid].memory.kv_bytes_per_token,
+            chunk_tokens=self.bundle.chunk_tokens,
             query_tokens=query.n_tokens,
             answer_tokens=query.answer_tokens_estimate,
-            estimate_plan=estimate_plan,
+            replica_id=rid,
+            replica_free_kv_bytes=free,
+            replica_available_kv_bytes=available,
+            replica_now=tuple(r.now for r in replicas),
+            replica_speeds=engine.replica_speeds,
+            replica_outstanding=engine.replica_outstanding(),
         )

@@ -36,7 +36,7 @@ from repro.llm.generation import SimulatedGenerator
 from repro.llm.quality import QualityModel, QualityParams
 from repro.retrieval.rerank import ExactReranker, make_reranker
 from repro.serving.cluster import ClusterEngine
-from repro.serving.engine import EngineConfig, EngineStats, ServingEngine
+from repro.serving.engine import EngineConfig, EngineStats
 from repro.serving.speculation import SpeculationPolicy, make_speculation
 from repro.sim import ResourceStats
 from repro.util.validation import (
@@ -69,7 +69,7 @@ class RunResult:
     makespan: float
     engine_stats: EngineStats
     ledger: CostLedger
-    #: Per-replica engine counters (one entry on a bare engine).
+    #: Per-replica engine counters (one entry per cluster replica).
     replica_stats: list[EngineStats] = field(default_factory=list)
     #: Per-replica speed multipliers (parallel to ``replica_stats``).
     replica_speeds: list[float] = field(default_factory=list)
@@ -554,11 +554,11 @@ class ExperimentRunner:
     """Runs one policy over one dataset workload on a fresh engine.
 
     ``knobs`` are the :class:`RunSpec` fields, validated there; the
-    spec is kept as :attr:`spec`. With ``n_replicas > 1`` (or an
-    autoscaler) the workload is served by a
-    :class:`~repro.serving.cluster.ClusterEngine` and each policy
-    decision sees a :class:`ClusterSchedulingView` of the replica its
-    query was routed to. Resource waits surface in
+    spec is kept as :attr:`spec`. The workload is served by a
+    :class:`~repro.serving.cluster.ClusterEngine` of ``n_replicas``
+    replicas (one replica is the single-GPU case) and each policy
+    decision sees a :class:`~repro.core.policy.SchedulingView` of the
+    replica its query was routed to. Resource waits surface in
     :attr:`RunResult.resource_stats` and the per-query queue-delay
     fields.
     """
@@ -610,21 +610,13 @@ class ExperimentRunner:
         """
         spec = self.spec
         config = replace(self.engine_config, policy=policy.engine_policy)
-        engine: ServingEngine | ClusterEngine
-        if spec.n_replicas > 1 or spec.autoscaler is not None:
-            # An autoscaled fleet is always a cluster, even when it
-            # starts from one replica — elasticity lives there.
-            engine = ClusterEngine(
-                config,
-                n_replicas=spec.n_replicas,
-                router=spec.router,
-                seed=self.seed,
-                replica_speeds=spec.replica_speeds,
-            )
-        else:
-            speed = (spec.replica_speeds[0]
-                     if spec.replica_speeds else 1.0)
-            engine = ServingEngine(config, speed=speed)
+        engine = ClusterEngine(
+            config,
+            n_replicas=spec.n_replicas,
+            router=spec.router,
+            seed=self.seed,
+            replica_speeds=spec.replica_speeds,
+        )
         autoscaler = spec.new_autoscaler()
         cache_config = spec.cache_config
         pipeline = QueryPipeline(
@@ -653,14 +645,8 @@ class ExperimentRunner:
                                       pipeline.speculation_gpu_seconds)
         self._charge_feedback(policy, engine, ledger)
         makespan = engine.now
-        if isinstance(engine, ClusterEngine):
-            replica_stats = [r.stats for r in engine.replicas]
-            replica_speeds = list(engine.replica_speeds)
-            provisioned = engine.provisioned_seconds(makespan)
-        else:
-            replica_stats = [engine.stats]
-            replica_speeds = [engine.speed]
-            provisioned = [makespan]
+        replica_stats = [r.stats for r in engine.replicas]
+        provisioned = engine.provisioned_seconds(makespan)
         idle_seconds = sum(
             max(0.0, provisioned[i] - replica_stats[i].busy_seconds)
             for i in range(len(provisioned))
@@ -675,7 +661,7 @@ class ExperimentRunner:
             engine_stats=engine.stats,
             ledger=ledger,
             replica_stats=replica_stats,
-            replica_speeds=replica_speeds,
+            replica_speeds=list(engine.replica_speeds),
             resource_stats=pipeline.resource_stats(),
             n_retrieval_shards=self.store.n_shards,
             reranker=spec.reranker.name if spec.reranker else None,
@@ -699,7 +685,7 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _charge_feedback(self, policy: RAGPolicy,
-                         engine: ServingEngine | ClusterEngine,
+                         engine: ClusterEngine,
                          ledger: CostLedger) -> None:
         """Charge GPU time for golden-configuration feedback runs."""
         feedback = getattr(policy, "feedback", None)

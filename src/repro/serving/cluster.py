@@ -14,8 +14,9 @@ the frontier, which the driver tracks by rescheduling the armed event.
 :meth:`ClusterEngine.step` exposes the same advance-the-lagging-replica
 rule as a manual driving surface, so hand-rolled loops (tests, the
 golden-trace pins) and the event-driven path produce byte-identical
-traces — with one replica both collapse to a bare engine, which the
-golden-trace test pins down.
+traces — with one replica both collapse to that replica's own
+:class:`ServingEngine` trace, which the golden-trace test pins down.
+A one-replica cluster is how every single-GPU run is served.
 
 Replicas may run at heterogeneous speeds (``replica_speeds``: per-
 replica hardware-throughput multipliers, e.g. ``(1.0, 0.5)`` for a
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.serving.engine import EngineConfig, EngineStats, ServingEngine, StepInfo
 from repro.serving.request import InferenceRequest
 from repro.util.rng import stream
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_positive_int
 
 _INF = float("inf")
 
@@ -212,10 +213,12 @@ class ReplicaSnapshot:
 class ClusterEngine:
     """N independent serving replicas advanced as events.
 
-    Exposes the same driving surface as :class:`ServingEngine`
-    (``now`` / ``has_work`` / ``advance_to`` / ``submit`` / ``step`` /
-    ``run_until_idle`` / ``stats`` / ``attach``), so the experiment
-    runner's event loop drives either interchangeably.
+    The one engine type the query pipeline and the experiment runner
+    serve on: a single-GPU run is a one-replica cluster, which behaves
+    step for step like its lone :class:`ServingEngine` (pinned by
+    ``tests/test_cluster_golden.py``). The driving surface (``now`` /
+    ``has_work`` / ``advance_to`` / ``submit`` / ``step`` /
+    ``run_until_idle`` / ``stats`` / ``attach``) mirrors the replica's.
 
     ``replica_speeds`` gives each replica a hardware-throughput
     multiplier (see :class:`ServingEngine`); its length must equal
@@ -230,8 +233,7 @@ class ClusterEngine:
         seed: int = 0,
         replica_speeds: Sequence[float] | None = None,
     ) -> None:
-        check_positive("n_replicas", n_replicas)
-        n_replicas = int(n_replicas)
+        n_replicas = check_positive_int("n_replicas", n_replicas)
         if replica_speeds is None:
             speeds = [1.0] * n_replicas
         else:

@@ -346,8 +346,8 @@ class Autoscaler:
         if not isinstance(engine, ClusterEngine):
             raise ValueError(
                 "the autoscaler scales ClusterEngine replicas; got "
-                f"{type(engine).__name__} — the runner wraps single-"
-                "replica fleets in a cluster when autoscaling is on"
+                f"{type(engine).__name__} — wrap a single engine in a "
+                "one-replica ClusterEngine to autoscale it"
             )
         n_active = len(engine.active_replica_ids())
         if not self.scale_min <= n_active <= self.scale_max:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import FixedConfigPolicy
 from repro.config.knobs import RAGConfig, SynthesisMethod
 from repro.core import MetisConfig, MetisPolicy
-from repro.core.policy import ClusterSchedulingView, PrepResult
+from repro.core.policy import PrepResult, SchedulingView
 from repro.core.profiles import QueryProfile
 from repro.evaluation.reports import cluster_summary, per_replica_rows
 from repro.experiments.common import make_metis, run_policy
@@ -137,6 +138,13 @@ class TestClusterEngine:
         with pytest.raises(ValueError):
             ClusterEngine(build_config(), 0)
 
+    @pytest.mark.parametrize("n, match", [(-1, "must be > 0"),
+                                          (1.5, "must be an integer")])
+    def test_rejects_bad_replica_counts(self, n, match):
+        """A fractional count is an error, not a truncated fleet."""
+        with pytest.raises(ValueError, match=match):
+            ClusterEngine(build_config(), n)
+
     def test_step_on_idle_cluster_raises(self):
         with pytest.raises(RuntimeError):
             ClusterEngine(build_config(), 2).step()
@@ -250,7 +258,7 @@ class TestScaling:
 # ----------------------------------------------------------------------
 # Cluster-level scheduling view / controller cluster mode
 # ----------------------------------------------------------------------
-def make_cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
+def make_cluster_view(per_replica_tokens, routed: int) -> SchedulingView:
     def estimate(config: RAGConfig):
         return make_synthesizer(config.synthesis_method).build_plan(
             query_id="est", query_tokens=30,
@@ -259,7 +267,7 @@ def make_cluster_view(per_replica_tokens, routed: int) -> ClusterSchedulingView:
         )
 
     avail = tuple(t * KV_BYTES for t in per_replica_tokens)
-    return ClusterSchedulingView(
+    return SchedulingView(
         now=0.0,
         free_kv_bytes=avail[routed],
         available_kv_bytes=avail[routed],
@@ -391,6 +399,21 @@ class TestRunnerIntegration:
         assert len(result.replica_stats) == 1
         assert all(r.replica == 0 for r in result.records)
         assert cluster_summary(result)["n_replicas"] == 1
+
+    def test_single_replica_speed_multiplier(self, finsec_bundle):
+        """One replica at half speed serves on a one-replica cluster
+        whose iterations take twice as long."""
+        policy = FixedConfigPolicy(RAGConfig(SynthesisMethod.STUFF, 6))
+
+        def run(speed):
+            return run_policy(finsec_bundle, policy, rate_qps=4.0,
+                              n_queries=12, n_replicas=1,
+                              replica_speeds=[speed])
+
+        slow, fast = run(0.5), run(1.0)
+        assert slow.replica_speeds == [0.5]
+        assert len(per_replica_rows(slow)) == 1
+        assert slow.mean_delay > fast.mean_delay
 
     def test_invalid_replicas_rejected(self, finsec_bundle):
         from repro.evaluation.runner import ExperimentRunner

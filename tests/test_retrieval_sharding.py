@@ -207,13 +207,13 @@ class TestRunnerValidation:
         from repro.evaluation.pipeline import QueryPipeline
         from repro.llm.generation import SimulatedGenerator
         from repro.llm.quality import QualityModel
-        from repro.serving.engine import ServingEngine
+        from repro.serving.cluster import ClusterEngine
 
         with pytest.raises(ValueError, match="2 shards"):
             QueryPipeline(
                 bundle=finsec_bundle,
                 policy=FixedConfigPolicy(STUFF6),
-                engine=ServingEngine(engine_config),
+                engine=ClusterEngine(engine_config),
                 generator=SimulatedGenerator(
                     quality=QualityModel(finsec_bundle.quality_params),
                     root_seed=0),

@@ -542,9 +542,10 @@ class TestRunnerValidation:
 
     def test_bare_engine_pipeline_runs_unhedged(self, finsec_bundle,
                                                 engine_config):
-        """Defense in depth below the runner's fail-fast: a bare-engine
-        QueryPipeline with speculation arms timers that safely no-op
-        (no alternative replica), leaving the run unhedged."""
+        """Defense in depth below the runner's fail-fast: a
+        single-replica QueryPipeline with speculation arms timers that
+        safely no-op (no alternative replica), leaving the run
+        unhedged."""
         from repro.evaluation.pipeline import QueryPipeline
         from repro.llm.generation import SimulatedGenerator
         from repro.llm.quality import QualityModel
@@ -552,7 +553,7 @@ class TestRunnerValidation:
         pipeline = QueryPipeline(
             bundle=finsec_bundle,
             policy=FixedConfigPolicy(STUFF6),
-            engine=ServingEngine(engine_config),
+            engine=ClusterEngine(engine_config),
             generator=SimulatedGenerator(
                 quality=QualityModel(finsec_bundle.quality_params),
                 root_seed=0),
