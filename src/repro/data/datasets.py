@@ -15,7 +15,7 @@ qmsum      summarisation QA    4K–12K        20–60
 
 from __future__ import annotations
 
-from repro.data.generator import DatasetSpec, generate_dataset
+from repro.data.generator import Corpus, DatasetSpec, generate_dataset
 from repro.data.types import DatasetBundle
 from repro.llm.quality import QualityParams
 
@@ -160,6 +160,8 @@ _SPECS: dict[str, DatasetSpec] = {
 
 DATASET_NAMES: tuple[str, ...] = tuple(sorted(_SPECS))
 
+#: Corpora by ``(name, seed)`` and bundles by ``(name, seed, n_queries)``.
+_CORPORA: dict[tuple[str, int], Corpus] = {}
 _CACHE: dict[tuple[str, int, int], DatasetBundle] = {}
 
 
@@ -181,7 +183,10 @@ def build_dataset(
     """Build (or fetch from cache) a dataset by name.
 
     ``n_queries`` overrides the spec's default query count (handy for
-    fast tests); corpora are identical for any ``n_queries``.
+    fast tests); corpora are identical for any ``n_queries``, so cached
+    builds of one ``(name, seed)`` share one corpus (store, facts, maps
+    and tokenizer), and a smaller query set is a prefix of a larger
+    one. ``cache=False`` builds everything fresh.
     """
     spec = get_spec(name)
     if n_queries is not None:
@@ -189,9 +194,11 @@ def build_dataset(
 
         spec = replace(spec, n_queries=n_queries)
     key = (name, seed, spec.n_queries)
-    if cache and key in _CACHE:
-        return _CACHE[key]
-    bundle = generate_dataset(spec, seed=seed)
-    if cache:
+    if not cache:
+        return generate_dataset(spec, seed=seed)
+    if key not in _CACHE:
+        bundle = generate_dataset(spec, seed=seed,
+                                  corpus=_CORPORA.get((name, seed)))
+        _CORPORA.setdefault((name, seed), Corpus.of(bundle))
         _CACHE[key] = bundle
-    return bundle
+    return _CACHE[key]

@@ -25,7 +25,7 @@ from repro.retrieval.embedding import HashedEmbedding, IdfWeights
 from repro.retrieval.store import VectorStore
 from repro.util.rng import RngStreams
 
-__all__ = ["DatasetSpec", "generate_dataset"]
+__all__ = ["Corpus", "DatasetSpec", "generate_dataset"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,34 @@ class DatasetSpec:
             raise ValueError(f"pieces_probs must sum to 1, got {total}")
 
 
+@dataclass(frozen=True)
+class Corpus:
+    """The query-independent part of a dataset: the indexed corpus.
+
+    A corpus depends only on the spec's corpus fields and the seed, so
+    one corpus serves every query count (see :func:`generate_dataset`).
+    """
+
+    store: VectorStore
+    facts: dict[str, Fact]
+    chunk_facts: dict[str, tuple[str, ...]]
+    doc_tokens: dict[str, int]
+    tokenizer: SimTokenizer
+
+    @classmethod
+    def of(cls, bundle: DatasetBundle) -> Corpus:
+        """The corpus a bundle was built on."""
+        return cls(bundle.store, bundle.facts, bundle.chunk_facts,
+                   bundle.doc_tokens, bundle.tokenizer)
+
+
 # ----------------------------------------------------------------------
 # Corpus construction
 # ----------------------------------------------------------------------
 def _build_documents(
     spec: DatasetSpec, rngs: RngStreams, tokenizer: SimTokenizer
-) -> tuple[dict[str, Fact], dict[str, str], dict[str, int], dict[str, str]]:
-    """Returns (facts, doc_texts, doc_tokens, fact_entity_by_doc)."""
+) -> tuple[dict[str, Fact], dict[str, str], dict[str, int]]:
+    """Returns (facts, doc_texts, doc_tokens)."""
     rng = rngs.get("corpus")
     attributes = [
         f"{family} {qualifier}"
@@ -80,12 +101,10 @@ def _build_documents(
     facts: dict[str, Fact] = {}
     doc_texts: dict[str, str] = {}
     doc_tokens: dict[str, int] = {}
-    doc_entities: dict[str, str] = {}
 
     for d in range(spec.n_docs):
         doc_id = f"{spec.name}-d{d}"
         entity = make_entity_name(rng, spec.entity_kind)
-        doc_entities[doc_id] = entity
         lo, hi = spec.facts_per_doc
         n_facts = int(rng.integers(lo, hi + 1))
         n_facts = min(n_facts, len(attributes))
@@ -133,7 +152,7 @@ def _build_documents(
         doc_texts[doc_id] = text
         doc_tokens[doc_id] = tokenizer.count(text)
 
-    return facts, doc_texts, doc_tokens, doc_entities
+    return facts, doc_texts, doc_tokens
 
 
 def _locate_facts(
@@ -159,9 +178,55 @@ def _locate_facts(
     return {cid: tuple(fids) for cid, fids in chunk_facts.items()}
 
 
+def _build_corpus(spec: DatasetSpec, rngs: RngStreams) -> Corpus:
+    tokenizer = SimTokenizer()
+    facts, doc_texts, doc_tokens = _build_documents(spec, rngs, tokenizer)
+    chunks: list[Chunk] = []
+    for doc_id, text in doc_texts.items():
+        chunks.extend(
+            split_into_chunks(doc_id, text, spec.chunk_tokens,
+                              tokenizer=tokenizer)
+        )
+    idf = IdfWeights().fit([c.text for c in chunks])
+    store = VectorStore(embedding=HashedEmbedding(idf=idf))
+    store.add_chunks(chunks)
+    return Corpus(store, facts, _locate_facts(facts, chunks), doc_tokens,
+                  tokenizer)
+
+
 # ----------------------------------------------------------------------
 # Query construction
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _FactGroups:
+    """A corpus's facts grouped the ways query sampling reads them.
+
+    Built once per dataset; every list and dict keeps corpus order, so
+    the random draws index the same facts as a per-query rebuild would.
+    """
+
+    facts: list[Fact]
+    by_doc: dict[str, list[Fact]]
+    by_family: dict[str, list[Fact]]
+    family_docs: dict[str, int]  # family -> distinct documents holding it
+    fact_chunk: dict[str, str]
+
+    @classmethod
+    def of(cls, corpus: Corpus) -> _FactGroups:
+        facts = list(corpus.facts.values())
+        by_doc: dict[str, list[Fact]] = {}
+        by_family: dict[str, list[Fact]] = {}
+        for fact in facts:
+            by_doc.setdefault(fact.doc_id, []).append(fact)
+            family = fact.attribute.rsplit(" ", 1)[0]
+            by_family.setdefault(family, []).append(fact)
+        family_docs = {family: len({m.doc_id for m in members})
+                       for family, members in by_family.items()}
+        fact_chunk = {fid: cid for cid, fids in corpus.chunk_facts.items()
+                      for fid in fids}
+        return cls(facts, by_doc, by_family, family_docs, fact_chunk)
+
+
 def _sample_pieces(spec: DatasetSpec, rng: np.random.Generator) -> int:
     values = [v for v, _ in spec.pieces_probs]
     probs = [p for _, p in spec.pieces_probs]
@@ -172,11 +237,10 @@ def _pick_facts(
     spec: DatasetSpec,
     rng: np.random.Generator,
     pieces: int,
-    facts: dict[str, Fact],
-    fact_chunk: dict[str, str],
+    groups: _FactGroups,
 ) -> list[Fact]:
     """Pick ``pieces`` required facts under the dataset's placement rule."""
-    all_facts = list(facts.values())
+    all_facts = groups.facts
     if pieces == 1:
         return [all_facts[int(rng.integers(len(all_facts)))]]
 
@@ -184,15 +248,11 @@ def _pick_facts(
         # Multi-hop: facts from distinct documents, same attribute
         # family where possible (mirrors "are X, Y, Z from the same
         # country?" queries).
-        by_family: dict[str, list[Fact]] = {}
-        for fact in all_facts:
-            family = fact.attribute.rsplit(" ", 1)[0]
-            by_family.setdefault(family, []).append(fact)
-        families = [f for f, members in by_family.items()
-                    if len({m.doc_id for m in members}) >= pieces]
+        families = [f for f, n_docs in groups.family_docs.items()
+                    if n_docs >= pieces]
         if families:
             family = families[int(rng.integers(len(families)))]
-            pool = by_family[family]
+            pool = groups.by_family[family]
             picked: list[Fact] = []
             seen_docs: set[str] = set()
             for idx in rng.permutation(len(pool)):
@@ -214,9 +274,7 @@ def _pick_facts(
         return picked  # corpus too small; return what we have
 
     # Doc-level QA: facts from one document, distinct chunks preferred.
-    by_doc: dict[str, list[Fact]] = {}
-    for fact in all_facts:
-        by_doc.setdefault(fact.doc_id, []).append(fact)
+    by_doc = groups.by_doc
     candidates = [d for d, fs in by_doc.items() if len(fs) >= pieces]
     if not candidates:
         candidates = sorted(by_doc, key=lambda d: -len(by_doc[d]))
@@ -227,7 +285,7 @@ def _pick_facts(
     picked, seen_chunks = [], set()
     for idx in rng.permutation(len(pool)):
         fact = pool[int(idx)]
-        chunk_id = fact_chunk[fact.fact_id]
+        chunk_id = groups.fact_chunk[fact.fact_id]
         if chunk_id not in seen_chunks:
             picked.append(fact)
             seen_chunks.add(chunk_id)
@@ -293,34 +351,28 @@ def _summary_range(
 
 
 # ----------------------------------------------------------------------
-def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
-    """Build a full :class:`DatasetBundle` from a spec, reproducibly."""
+def generate_dataset(
+    spec: DatasetSpec, seed: int = 0, corpus: Corpus | None = None
+) -> DatasetBundle:
+    """Build a full :class:`DatasetBundle` from a spec, reproducibly.
+
+    ``corpus`` reuses a corpus already built from ``spec`` and ``seed``
+    (see :meth:`Corpus.of`) and draws only the queries. Queries come
+    from their own named stream, so the bundle equals a fresh build,
+    and the first ``n`` queries are the same for any ``spec.n_queries``.
+    """
     rngs = RngStreams(seed).child("dataset", spec.name)
-    tokenizer = SimTokenizer()
-
-    facts, doc_texts, doc_tokens, _ = _build_documents(spec, rngs, tokenizer)
-
-    chunks: list[Chunk] = []
-    for doc_id, text in doc_texts.items():
-        chunks.extend(
-            split_into_chunks(doc_id, text, spec.chunk_tokens,
-                              tokenizer=tokenizer)
-        )
-    chunk_facts = _locate_facts(facts, chunks)
-    fact_chunk = {
-        fid: cid for cid, fids in chunk_facts.items() for fid in fids
-    }
-
-    idf = IdfWeights().fit([c.text for c in chunks])
-    store = VectorStore(embedding=HashedEmbedding(idf=idf))
-    store.add_chunks(chunks)
+    if corpus is None:
+        corpus = _build_corpus(spec, rngs)
+    tokenizer = corpus.tokenizer
+    groups = _FactGroups.of(corpus)
 
     rng = rngs.get("queries")
     template_tokens = tuple(tokenizer.tokenize(spec.answer_template))
     queries: list[Query] = []
     for i in range(spec.n_queries):
         pieces = _sample_pieces(spec, rng)
-        picked = _pick_facts(spec, rng, pieces, facts, fact_chunk)
+        picked = _pick_facts(spec, rng, pieces, groups)
         pieces = len(picked)  # corpus may cap the request
         p_high = min(
             0.95,
@@ -337,7 +389,7 @@ def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
             complexity_high=complexity_high,
             joint_reasoning=joint,
             required_fact_ids=tuple(f.fact_id for f in picked),
-            summary_range=_summary_range(picked, fact_chunk),
+            summary_range=_summary_range(picked, groups.fact_chunk),
             answer_template_tokens=template_tokens,
         )
         queries.append(
@@ -354,11 +406,11 @@ def generate_dataset(spec: DatasetSpec, seed: int = 0) -> DatasetBundle:
         name=spec.name,
         metadata=spec.metadata,
         chunk_tokens=spec.chunk_tokens,
-        store=store,
+        store=corpus.store,
         queries=queries,
-        facts=facts,
-        chunk_facts=chunk_facts,
-        doc_tokens=doc_tokens,
+        facts=corpus.facts,
+        chunk_facts=corpus.chunk_facts,
+        doc_tokens=corpus.doc_tokens,
         quality_params=spec.quality,
         tokenizer=tokenizer,
     )

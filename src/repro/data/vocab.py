@@ -98,11 +98,19 @@ def make_filler_sentence(
     ``topic_rate`` controls how on-topic the padding is: higher values
     make a document's chunks look more alike (harder retrieval
     discrimination within the document).
+
+    Each word is drawn as ``pool[rng.integers(0, len(pool))]``: the same
+    draw as ``rng.choice(pool)`` (identical words and generator state)
+    without converting the pool to an array on every call. The draws
+    stay one call per word because ``integers`` consumes half-words of
+    the bit generator's buffer, which no batched draw reproduces.
     """
+    if n_words <= 0:
+        raise ValueError(f"n_words must be positive, got {n_words}")
     words: list[str] = []
     for _ in range(n_words):
         use_topic = topic_words and rng.random() < topic_rate
         pool = topic_words if use_topic else FILLER_WORDS
-        words.append(str(rng.choice(pool)))
+        words.append(pool[rng.integers(0, len(pool))])
     words[0] = words[0].capitalize()
     return " ".join(words) + "."

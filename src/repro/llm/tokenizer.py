@@ -26,7 +26,8 @@ class SimTokenizer:
     The class is stateless; all methods are safe to share across
     threads.  ``count()`` is cached because the simulator counts the
     same chunk texts many times (memory estimation, prefill sizing,
-    cost accounting).
+    cost accounting); ``tokenize()`` caches the pieces of each long
+    word because a corpus repeats a small vocabulary.
     """
 
     def tokenize(self, text: str) -> list[str]:
@@ -43,10 +44,7 @@ class SimTokenizer:
             if len(word) <= _MAX_WHOLE_WORD:
                 tokens.append(word)
             else:
-                tokens.extend(
-                    word[i : i + _PIECE_LEN]
-                    for i in range(0, len(word), _PIECE_LEN)
-                )
+                tokens.extend(_word_pieces(word))
         return tokens
 
     def count(self, text: str) -> int:
@@ -73,6 +71,12 @@ class SimTokenizer:
             else:
                 hi = mid - 1
         return " ".join(words[:lo])
+
+
+@lru_cache(maxsize=65536)
+def _word_pieces(word: str) -> tuple[str, ...]:
+    return tuple(word[i : i + _PIECE_LEN]
+                 for i in range(0, len(word), _PIECE_LEN))
 
 
 @lru_cache(maxsize=65536)

@@ -25,6 +25,16 @@ class TestRegistry:
         b = build_dataset("squad", n_queries=10, cache=False)
         assert a is not b
 
+    def test_query_counts_share_one_corpus(self):
+        small = build_dataset("finsec", seed=0, n_queries=12)
+        large = build_dataset("finsec", seed=0, n_queries=30)
+        assert large.store is small.store
+        assert large.facts is small.facts
+        assert large.queries[:12] == small.queries
+        fresh = build_dataset("finsec", seed=0, n_queries=30, cache=False)
+        assert fresh.store is not large.store
+        assert fresh.queries == large.queries
+
 
 class TestBundleIntegrity:
     @pytest.fixture(params=list(DATASET_NAMES))

@@ -57,6 +57,45 @@ class TestVocab:
     def test_filler_vocab_disjoint_from_values(self):
         assert not set(FILLER_WORDS) & set(VALUE_WORDS)
 
+    @pytest.mark.parametrize("n_words", [0, -3])
+    def test_filler_rejects_non_positive_length(self, rng, n_words):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_words must be positive"):
+            make_filler_sentence(rng, ("topic",), n_words=n_words)
+        assert rng.bit_generator.state == state  # raised before any draw
+
+
+def _filler_sentence_by_choice(rng, topic_words, n_words=12,
+                               topic_rate=0.25):
+    """The ``rng.choice`` formulation of ``make_filler_sentence``."""
+    words = []
+    for _ in range(n_words):
+        use_topic = topic_words and rng.random() < topic_rate
+        pool = topic_words if use_topic else FILLER_WORDS
+        words.append(str(rng.choice(pool)))
+    words[0] = words[0].capitalize()
+    return " ".join(words) + "."
+
+
+class TestFillerDrawEquivalence:
+    """``make_filler_sentence`` draws exactly what ``rng.choice`` drew:
+    the same sentences and the same generator state afterwards."""
+
+    TOPICS = ("kelmar", "corp", "net", "revenue", "gross", "margin")
+
+    @pytest.mark.parametrize("topic_rate,topic_words", [
+        (0.0, TOPICS), (0.18, TOPICS), (1.0, TOPICS), (0.18, ()),
+    ])
+    def test_same_sentences_and_state(self, topic_rate, topic_words):
+        new, old = (RngStreams(7).get("filler") for _ in range(2))
+        lengths = RngStreams(7).get("lengths").integers(1, 20, size=2_000)
+        for n_words in lengths:
+            assert make_filler_sentence(
+                new, topic_words, int(n_words), topic_rate
+            ) == _filler_sentence_by_choice(
+                old, topic_words, int(n_words), topic_rate)
+        assert new.bit_generator.state == old.bit_generator.state
+
 
 class TestDatasetSpecValidation:
     def test_pieces_probs_must_sum_to_one(self):

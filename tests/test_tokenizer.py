@@ -1,5 +1,7 @@
 """Unit tests for the deterministic tokenizer."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +37,41 @@ class TestTokenize:
 
     def test_whitespace_only(self):
         assert tok.tokenize("  \n\t ") == []
+
+
+def _tokenize_by_genexpr(text):
+    """The per-word generator-expression formulation of ``tokenize``."""
+    tokens = []
+    for word in re.findall(r"[A-Za-z0-9']+|[^A-Za-z0-9'\s]", text.lower()):
+        if len(word) <= 6:
+            tokens.append(word)
+        else:
+            tokens.extend(word[i : i + 4] for i in range(0, len(word), 4))
+    return tokens
+
+
+_WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCXYZ0123456789'"
+_words = st.one_of(
+    st.text(_WORD_CHARS, min_size=1, max_size=5),
+    st.text(_WORD_CHARS, min_size=6, max_size=6),
+    st.text(_WORD_CHARS, min_size=7, max_size=7),
+    st.text(_WORD_CHARS, min_size=13, max_size=40),
+    st.sampled_from([",", ".", "?", "-", "$", "é"]),
+)
+
+
+class TestTokenizeEquivalence:
+    @given(st.lists(st.tuples(_words, st.sampled_from([" ", "", "\n", ", "])),
+                    max_size=40))
+    def test_matches_genexpr_split(self, parts):
+        text = "".join(word + sep for word, sep in parts)
+        assert tok.tokenize(text) == _tokenize_by_genexpr(text)
+        assert tok.count(text) == len(_tokenize_by_genexpr(text))
+
+    def test_matches_genexpr_split_on_a_corpus(self, finsec_bundle):
+        for chunk_id in list(finsec_bundle.chunk_facts)[:20]:
+            text = finsec_bundle.store.get(chunk_id).text
+            assert tok.tokenize(text) == _tokenize_by_genexpr(text)
 
 
 class TestCount:
