@@ -6,7 +6,9 @@ replicas that advance as *first-class events* on the shared
 and a :class:`~repro.sim.driver.StepDriver`): while any replica has
 work, one armed step event sits at the cluster frontier — the minimum
 busy-replica clock — and each firing advances the lagging busy replica
-(ties broken by replica index). Idle replicas hold no events (they
+(ties broken by replica index), then lets replicas coast through silent
+decode iterations up to the next observable one (see ``_coast``, and
+``repro.sim.driver``). Idle replicas hold no events (they
 *sleep*); admission wakes them through the engine's ``wake_hook``, and
 a submission routed to an idle replica of a busy cluster *regresses*
 the frontier, which the driver tracks by rescheduling the armed event.
@@ -658,7 +660,7 @@ class ClusterEngine:
                 assignments.pop(finished.request_id, None)
         return ClusterStepInfo(rid, info)
 
-    def step_and_frontier(self) -> float | None:
+    def step_and_frontier(self, horizon: Callable[[], float]) -> float | None:
         """Quiet step fused with the post-step frontier probe.
 
         One call for the StepDriver's no-observer hot path: advances
@@ -666,6 +668,10 @@ class ClusterEngine:
         returns :meth:`frontier` — saving a second full replica scan
         and two method dispatches per step event. Same min-clock /
         min-index rule, so dispatch order is byte-identical.
+
+        A step that leaves its replica in the decode-only state is
+        followed by :meth:`_coast` up to ``horizon()``, the time of the
+        next live kernel event (read lazily).
         """
         replicas = self.replicas
         rid = -1
@@ -689,7 +695,10 @@ class ClusterEngine:
             assignments = self._assignments
             for req in finished:
                 assignments.pop(req.request_id, None)
-        if self._busy_version == version:
+        if (not stepped._waiting and not stepped._n_prefill_phase
+                and stepped._running and self._coast(stepped, horizon)):
+            pass  # replica clocks moved: rescan below
+        elif self._busy_version == version:
             # Nothing submitted/cancelled during the step: only the
             # stepped replica moved, so the new frontier is the pre-step
             # runner-up vs. its own advanced clock.
@@ -703,6 +712,66 @@ class ClusterEngine:
             if (r._waiting or r._running) and r.now < best:
                 best = r.now
         return None if best == _INF else best
+
+    def _coast(self, stepped: ServingEngine,
+               horizon: Callable[[], float]) -> bool:
+        """Run every busy replica's silent iterations that no
+        observable iteration or kernel event precedes.
+
+        Silent iterations (:meth:`ServingEngine.silent_iterations`)
+        touch nothing outside their replica, so only their start
+        clocks decide whether stepping one at a time would have run
+        them by now. A replica's horizon is the minimum of the next
+        kernel event time (``horizon()``) and every *other* busy
+        replica's next non-silent start: its clock, or for a coastable
+        replica its clock after its own silent run, so all runs are
+        projected before any is applied. The strict ``<`` reproduces
+        both tie rules: step events rank after equal-time events, and
+        equal clocks step in index order.
+
+        Returns ``False``, having run nothing, when ``stepped`` (the
+        replica that just stepped) cannot coast itself: an observable
+        iteration or event comes at or before its clock, or it has
+        fewer than two silent iterations ahead (coasting one saves one
+        step event, about what the attempt costs). Those checks come
+        first, so a failed attempt costs at most a scan of its batch
+        and one kernel peek.
+        """
+        first_start = stepped.now
+        replicas = self.replicas
+        for r in replicas:
+            if (r._waiting or r._n_prefill_phase) and not first_start < r.now:
+                return False  # observable iteration at or before it
+        if stepped.silent_iterations() < 2:
+            return False
+        limit = horizon()
+        if not first_start < limit:
+            return False
+        plans = []
+        first = second = limit  # the two smallest non-silent starts
+        first_id = -1
+        for i, r in enumerate(replicas):
+            if r._waiting or r._n_prefill_phase:
+                start = r.now
+            elif not r._running:
+                continue  # idle
+            else:
+                n_silent = r.silent_iterations()
+                if n_silent:
+                    durations, start = r.project_silent(n_silent, limit)
+                    if durations:
+                        plans.append((i, r, durations))
+                else:
+                    start = r.now
+            if start < first:
+                second = first
+                first = start
+                first_id = i
+            elif start < second:
+                second = start
+        for i, r, durations in plans:
+            r.coast(durations, second if i == first_id else first)
+        return True
 
     def attach(self, loop: "EventLoop") -> "StepDriver":
         """Run this cluster's replicas as first-class events on ``loop``.

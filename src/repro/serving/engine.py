@@ -464,15 +464,107 @@ class ServingEngine:
             finished=tuple(finished),
         )
 
-    def step_and_frontier(self) -> float | None:
+    def step_and_frontier(self, horizon: Callable[[], float]) -> float | None:
         """Quiet step fused with the post-step frontier probe.
 
         One call for the StepDriver's no-observer hot path: identical
-        iteration to ``step(False)``, returning the post-step frontier
-        (``None`` once drained) instead of the discarded result.
+        iteration to ``step(False)``, then a coast through the silent
+        iterations that start strictly before ``horizon()`` (the next
+        live kernel event, read lazily; see :meth:`coast`). Returns the
+        frontier (``None`` once drained) instead of the discarded result.
         """
         self.step(False)
+        n_silent = self.silent_iterations()
+        if n_silent:
+            limit = horizon()
+            self.coast(self.project_silent(n_silent, limit)[0], limit)
         return self.now if (self._waiting or self._running) else None
+
+    # ------------------------------------------------------------------
+    # Coasting: silent decode iterations without a step each
+    # ------------------------------------------------------------------
+    def silent_iterations(self) -> int:
+        """How many upcoming iterations are *silent*.
+
+        A silent iteration is a decode-only iteration (empty queue, no
+        request prefilling) that finishes no request: it only adds its
+        duration to the clock and bumps counters — no callback, no KV
+        allocation or free. ``0`` outside the decode-only state.
+        """
+        running = self._running
+        if self._waiting or self._n_prefill_phase or not running:
+            return 0
+        left = running[0].output_tokens - running[0].decoded_tokens
+        for request in running:
+            n = request.output_tokens - request.decoded_tokens
+            if n < left:
+                left = n
+        return left - 1
+
+    def project_silent(self, n_silent: int,
+                       limit: float) -> tuple[list[float], float]:
+        """Durations of the next ``n_silent`` silent iterations that
+        start strictly before ``limit``, and the clock after them.
+
+        Nothing is applied. Each duration is the exact expression of
+        :meth:`step`'s decode fast path, so the clock after a full run
+        (``n_silent`` durations) is this engine's next non-silent start;
+        a run cut at ``limit`` ends at or after ``limit``.
+        """
+        durations: list[float] = []
+        now = self.now
+        if not now < limit:
+            return durations, now
+        kv_tokens = self._decode_kv_tokens
+        n_decode = len(self._running)
+        weight_bytes = self._weight_bytes
+        kv_bytes_per_token = self._kv_bytes_per_token
+        mem_bandwidth = self._mem_bandwidth
+        seq_overhead = n_decode * self._per_seq_overhead_s
+        step_overhead = self._step_overhead_s
+        speed = self.speed
+        append = durations.append
+        for _ in range(n_silent):
+            busy = ((weight_bytes + kv_tokens * kv_bytes_per_token)
+                    / mem_bandwidth + seq_overhead)
+            duration = (0.0 if busy == 0.0
+                        else busy + step_overhead) / speed
+            append(duration)
+            now += duration
+            if not now < limit:
+                break
+            kv_tokens += n_decode
+        return durations, now
+
+    def coast(self, durations: list[float], limit: float) -> None:
+        """Apply the projected silent iterations that start strictly
+        before ``limit``.
+
+        Floats accumulate per iteration in :meth:`step`'s order, so the
+        clock and busy time are bit-identical to stepping one by one;
+        the integer counters are bulk-added. The caller guarantees that
+        nothing observable (a kernel event, another replica's
+        non-silent iteration) falls before ``limit``.
+        """
+        now = self.now
+        busy_seconds = self._busy_seconds
+        k = 0
+        for duration in durations:
+            if not now < limit:
+                break
+            now += duration
+            busy_seconds += duration
+            k += 1
+        if k:
+            self.now = now
+            self._busy_seconds = busy_seconds
+            running = self._running
+            for request in running:
+                request.decoded_tokens += k
+            n_tokens = len(running) * k
+            self._decode_kv_tokens += n_tokens
+            self._decode_tokens += n_tokens
+            self._iterations += k
 
     def _admit(self) -> list[InferenceRequest]:
         """Admit waiting requests in policy order until one doesn't fit.

@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
 from operator import attrgetter
 
 from repro.serving.request import InferenceRequest
@@ -66,24 +65,35 @@ class AppAwarePolicy(SchedulingPolicy):
 
     name = "app-aware"
 
-    @staticmethod
-    def _app_stats(
-        requests: Iterable[InferenceRequest],
-    ) -> tuple[dict[str, int], dict[str, float]]:
-        remaining: dict[str, int] = {}
-        first_arrival: dict[str, float] = {}
-        for req in requests:
-            remaining[req.app_id] = (
-                remaining.get(req.app_id, 0) + req.remaining_work_tokens
-            )
-            prev = first_arrival.get(req.app_id)
-            if prev is None or req.arrival_time < prev:
-                first_arrival[req.app_id] = req.arrival_time
-        return remaining, first_arrival
-
     def order(self, waiting: list[InferenceRequest],
               running: list[InferenceRequest]) -> list[InferenceRequest]:
-        remaining, first_arrival = self._app_stats([*waiting, *running])
+        if len(waiting) < 2:
+            return list(waiting)
+        # Only apps with a waiting request are summed: the sort key
+        # reads no other app's totals.
+        remaining: dict[str, int] = {}
+        first_arrival: dict[str, float] = {}
+        for req in waiting:
+            app = req.app_id
+            work = ((req.prompt_tokens - req.prefilled_tokens)
+                    + (req.output_tokens - req.decoded_tokens))
+            prev = first_arrival.get(app)
+            if prev is None:
+                remaining[app] = work
+                first_arrival[app] = req.arrival_time
+            else:
+                remaining[app] += work
+                if req.arrival_time < prev:
+                    first_arrival[app] = req.arrival_time
+        for req in running:
+            app = req.app_id
+            prev = first_arrival.get(app)
+            if prev is None:
+                continue
+            remaining[app] += ((req.prompt_tokens - req.prefilled_tokens)
+                               + (req.output_tokens - req.decoded_tokens))
+            if req.arrival_time < prev:
+                first_arrival[app] = req.arrival_time
         return sorted(
             waiting,
             key=lambda r: (

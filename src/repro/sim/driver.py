@@ -5,7 +5,7 @@ A :class:`StepDriver` replaces the legacy polling interleave
 (``EventLoop.run(substrate=...)``) with an *armed step event*: while
 the substrate has work, exactly one source event sits on the loop at
 the substrate's frontier (``substrate.now``); each firing performs one
-:meth:`~repro.sim.kernel.Steppable.step` and re-arms at the new
+*observable* iteration (see "Coasting" below) and re-arms at the new
 frontier. When the substrate drains, the driver simply stops
 scheduling — an idle substrate costs zero events and zero polling.
 
@@ -55,6 +55,24 @@ min-index rule), and external events still observe
 ``tests/test_cluster_events.py`` pins this equivalence for bare
 engines and multi-replica clusters; ``tests/test_cluster_golden.py``
 and the pipeline golden fingerprint continue to pass unmodified.
+
+Coasting
+--------
+
+Without an ``on_step`` observer a firing calls the substrate's
+``step_and_frontier(horizon)``: one quiet
+:meth:`~repro.sim.kernel.Steppable.step`, after which the substrate
+may *coast* through its silent iterations (decode-only, finishing no
+request: no callback runs and nothing outside the replica changes)
+that start strictly before ``horizon()``, the next live event's time.
+Stepping those one event each would dispatch nothing else in between,
+so every record, clock and stat is bit-identical while the loop
+dispatches one event per observable iteration instead of one per
+token. An ``on_step`` observer must see every iteration, so it turns
+coasting off, as does the legacy ``run(substrate=...)`` mode; both
+remain the per-token reference (``tests/test_coasting.py``). While
+:meth:`~repro.sim.kernel.EventLoop.defer` callbacks are pending, which
+may still schedule earlier events, the horizon is ``-inf``.
 """
 
 from __future__ import annotations
@@ -105,15 +123,23 @@ class StepDriver:
             def frontier() -> float | None:
                 return substrate.now if substrate.has_work() else None
         self._frontier = frontier
-        # Substrates may also expose ``step_and_frontier()`` — one
-        # quiet iteration (no Step/ClusterStepInfo built) fused with
-        # the post-step frontier probe — which the driver uses
-        # whenever no ``on_step`` observer is attached.
+        # Substrates may also expose ``step_and_frontier(horizon)`` — one
+        # quiet iteration (no Step/ClusterStepInfo built), a coast
+        # through the silent iterations before ``horizon()`` and the
+        # post-step frontier probe — which the driver uses whenever no
+        # ``on_step`` observer is attached.
         self._step_quiet = getattr(substrate, "step_and_frontier", None)
         loop.attach(substrate)
         self._arm(wake=True)
 
     # ------------------------------------------------------------------
+    def _horizon(self) -> float:
+        """How far a quiet step may coast: the next live event's time,
+        or ``-inf`` while deferred callbacks (which may schedule
+        earlier events) are pending."""
+        loop = self.loop
+        return float("-inf") if loop.has_deferred else loop.peek_time()
+
     @property
     def armed_time(self) -> float:
         """Timestamp of the armed step event (``inf`` when sleeping)."""
@@ -166,7 +192,7 @@ class StepDriver:
         if observer is None and self._step_quiet is not None:
             self._in_step = True
             try:
-                frontier = self._step_quiet()
+                frontier = self._step_quiet(self._horizon)
             finally:
                 self._in_step = False
             self.n_steps += 1

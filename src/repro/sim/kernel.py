@@ -172,7 +172,7 @@ class EventLoop:
 
     def __init__(self, clock: Clock | None = None,
                  bucket_width: float = 1.0 / 64.0) -> None:
-        if bucket_width <= 0:
+        if not bucket_width > 0:  # NaN fails too
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
         self.clock = clock or Clock()
         self._seq = itertools.count()
@@ -465,6 +465,12 @@ class EventLoop:
     def in_dispatch(self) -> bool:
         """Whether a handler is currently running on this loop."""
         return self._in_dispatch
+
+    @property
+    def has_deferred(self) -> bool:
+        """Whether :meth:`defer` callbacks wait for the in-flight
+        dispatch to complete (they may still schedule events)."""
+        return bool(self._deferred)
 
     def defer(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` after the in-flight dispatch completes.

@@ -29,8 +29,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it for chaining."""
-    if value < 0:
+    """Require ``value >= 0``; return it for chaining (NaN fails)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -195,6 +195,9 @@ def test_bucket_width_is_observationally_neutral(seed, width):
 def test_invalid_bucket_width_rejected():
     with pytest.raises(ValueError, match="bucket_width"):
         EventLoop(bucket_width=0.0)
+    # NaN fails at construction, not at the first schedule().
+    with pytest.raises(ValueError, match="bucket_width must be positive"):
+        EventLoop(bucket_width=float("nan"))
 
 
 class TestCompaction:

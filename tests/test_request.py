@@ -46,6 +46,9 @@ class TestInferenceRequest:
             req(out=0)
         with pytest.raises(ValueError):
             req(t=-1.0)
+        # A NaN arrival would poison FCFS order and every clock compare.
+        with pytest.raises(ValueError, match="arrival_time"):
+            req(t=float("nan"))
 
 
 class TestFCFSPolicy:

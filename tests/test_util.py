@@ -103,6 +103,9 @@ class TestValidation:
         assert check_non_negative("x", 0) == 0
         with pytest.raises(ValueError):
             check_non_negative("x", -1)
+        # ``nan < 0`` is false: NaN must fail like a negative value.
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative("x", float("nan"))
 
     def test_check_probability(self):
         assert check_probability("p", 1.0) == 1.0
